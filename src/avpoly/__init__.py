@@ -14,7 +14,6 @@ from .distribution import (
     DistributionRecord,
     EnumerationCapExceeded,
     MomentReport,
-    avalanche_series,
     closed_coefficient,
     distribution_by_closed_form,
     distribution_by_enumeration,
@@ -86,7 +85,6 @@ __all__ = [
     "mean_exact",
     "variance_exact",
     "moment_report",
-    "avalanche_series",
     "functional_equation_mismatch",
     "verify_functional_equation",
     "normalized_curve",

@@ -5,6 +5,22 @@ enumeration, a convolution recurrence, and a closed per-coefficient
 formula over strictly increasing exponent sequences. On top of those:
 exact rational mean and variance, floating asymptotic ratios, a
 truncated-series identity check, and the renormalized curve.
+
+The recurrence and the series check run on packed integers (Kronecker
+substitution; D. Harvey, arXiv:0712.4046). A polynomial sum c_e q^e is
+stored as the int sum c_e 2^(W e): each coefficient owns a field of W
+bits, W a multiple of 8, so adding and scaling polynomials becomes
+big-int arithmetic done in C, and `int.to_bytes` plus byte slices read
+the coefficients back. The packing is exact as long as no field
+overflows into the next one:
+
+* The recurrence table for sizes up to n uses W >= bitlen(n C_n) + 1.
+  Its coefficients are nonnegative and every one of them, and every
+  partial sum of one, is at most n C_n, so no carry crosses a field.
+* The series check packs the polynomials it is given, which may have
+  any signs and sizes, with W one bit wider than a bound on every field
+  of the difference it tests. A packed int with fields of absolute value
+  below 2^(W-1) is zero only if every field is, so the test is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .polyalg import Poly, Series, catalan, catalan_series
+from .polyalg import Poly, catalan
 from .tree import avalanche_poly, enumerate_trees
 
 __all__ = [
@@ -32,7 +48,6 @@ __all__ = [
     "mean_exact",
     "variance_exact",
     "moment_report",
-    "avalanche_series",
     "functional_equation_mismatch",
     "verify_functional_equation",
     "normalized_curve",
@@ -108,34 +123,71 @@ def distribution_by_enumeration(n: int, cap: int = DEFAULT_ENUM_CAP) -> Distribu
 
 
 _rec_lock = threading.Lock()
-_rec_table: list[Poly] = [Poly()]
+# (field width in bytes, packed rows 0..n); row k packs C_k + A_k
+_rec_table: tuple[int, list[int]] = (1, [1])
+
+
+def _recurrence_rows(n: int) -> tuple[int, list[int]]:
+    """Field width W/8 and the packed rows (format in `recurrence_polys`)
+    for sizes 0..n or more. Since C(t)(1 - t C(t)) = 1, the series
+    identity reduces to the single sum
+
+        A_m = q sum_{k<m} C_{m-k} q^k (C_k + A_k),
+
+    one small-by-big multiply, shift and add per k. A request beyond the
+    cached sizes rebuilds the whole table at the wider W it needs.
+    """
+    global _rec_table
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table = _rec_table
+    if n >= len(table[1]):
+        with _rec_lock:
+            table = _rec_table
+            if n >= len(table[1]):
+                cat = [catalan(k) for k in range(n + 1)]
+                width = (n * cat[n]).bit_length() // 8 + 1
+                w = 8 * width
+                rows = [1]
+                for m in range(1, n + 1):
+                    acc = cat[m]
+                    for k in range(m):
+                        acc += (cat[m - k] * rows[k]) << (w * (k + 1))
+                    rows.append(acc)
+                table = _rec_table = (width, rows)
+    return table
+
+
+def _unpack(row: int, width: int) -> Poly:
+    """A_k from packed row k: one `to_bytes`, one slice per field, field 0
+    (C_k) skipped."""
+    fields = -(-row.bit_length() // (8 * width))
+    data = row.to_bytes(fields * width, "little")
+    return Poly(
+        (e, int.from_bytes(data[e * width:(e + 1) * width], "little"))
+        for e in range(1, fields)
+    )
 
 
 def recurrence_polys(n: int) -> list[Poly]:
     """Distribution polynomials for sizes 0..n via the convolution
-    recurrence; the table is cached and grown on demand."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >= len(_rec_table):
-        with _rec_lock:
-            while len(_rec_table) <= n:
-                p = len(_rec_table) - 1
-                acc: dict[int, int] = {}
-                for k in range(p + 1):
-                    ck = catalan(k)
-                    cpk = catalan(p - k)
-                    acc[k + 1] = acc.get(k + 1, 0) + ck * cpk
-                    for e, c in _rec_table[k].items():
-                        e2 = e + k + 1
-                        acc[e2] = acc.get(e2, 0) + cpk * c
-                    for e, c in _rec_table[p - k].items():
-                        acc[e] = acc.get(e, 0) + ck * c
-                _rec_table.append(Poly(acc))
-    return _rec_table[: n + 1]
+    recurrence, unpacked from a cached table of packed rows.
+
+    Row k is the int sum_e B_k[e] 2^(W e) with B_k = C_k + A_k: A_k has no
+    constant term, so field 0 holds C_k and fields 1.. hold A_k. W is a
+    multiple of 8 and at least bitlen(n C_n) + 1 for the largest size n
+    built. Fields are nonnegative, and each of them, like every partial
+    sum the recurrence forms in it, is at most n C_n: no carry crosses a
+    field.
+    """
+    width, rows = _recurrence_rows(n)
+    return [_unpack(rows[k], width) for k in range(n + 1)]
 
 
 def distribution_by_recurrence(n: int) -> DistributionRecord:
-    return DistributionRecord(n, recurrence_polys(n)[n], "recurrence")
+    """The size-n polynomial from the packed table; unpacks row n only."""
+    width, rows = _recurrence_rows(n)
+    return DistributionRecord(n, _unpack(rows[n], width), "recurrence")
 
 
 def closed_coefficient(n: int, v: int) -> int:
@@ -256,9 +308,14 @@ def moment_report(n: int) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def avalanche_series(order: int) -> Series:
-    """Series whose t^p coefficient is the size-p distribution polynomial."""
-    return Series(order, recurrence_polys(order))
+def _pack(poly: Poly, width: int) -> int:
+    """sum_e c_e 2^(8 width e) for integer coefficients of any sign: the
+    positive and the negative parts go through bytes separately."""
+    size = (poly.degree() + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for e, c in poly.items():
+        (pos if c > 0 else neg)[e * width:(e + 1) * width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def functional_equation_mismatch(order: int, polys=None) -> int | None:
@@ -267,18 +324,32 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
         A(t,q) (1 - t C(t)) = q t C(t) (C(qt) + A(qt, q))
 
     fails, or None if it holds through `order`. `polys` overrides the
-    distribution polynomials (for sensitivity checks)."""
+    distribution polynomials (for sensitivity checks).
+
+    Order p of the identity, with the A-term moved right, reads
+    A_p = sum_{j<p} C_{p-1-j} (q^(j+1) (C_j + A_j) + A_j): the three-part
+    sum, not the single sum the recurrence is built from. Both sides are
+    compared as packed ints whose width comes from the absolute
+    coefficient sums of `polys`, so the test is exact for any input."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if polys is None:
         polys = recurrence_polys(order)
-    a = Series(order, polys[: order + 1])
-    c = catalan_series(order)
-    tc = c.shift_t()
-    # rearranged with the A-term moved right: A = q tC (C(qt)+A(qt,q)) + tC A
-    rhs = (tc * (c.substitute_qt() + a.substitute_qt())).times_q() + tc * a
+    polys = polys[: order + 1]
+    if len(polys) != order + 1:
+        raise ValueError(f"order {order} needs {order + 1} polynomials, got {len(polys)}")
+    cat = [catalan(k) for k in range(order + 1)]
+    mass = [sum(abs(c) for _, c in poly.items()) for poly in polys]
+    bound = max(
+        mass[p] + sum(cat[p - 1 - j] * (cat[j] + 2 * mass[j]) for j in range(p))
+        for p in range(order + 1)
+    )
+    width = bound.bit_length() // 8 + 1
+    w = 8 * width
+    a = [_pack(poly, width) for poly in polys]
+    terms = [((cat[j] + a[j]) << (w * (j + 1))) + a[j] for j in range(order)]
     for p in range(order + 1):
-        if a.coeffs[p] != rhs.coeffs[p]:
+        if a[p] != sum(cat[p - 1 - j] * terms[j] for j in range(p)):
             return p
     return None
 
@@ -297,7 +368,7 @@ def normalized_curve(n: int) -> list[CurvePoint]:
     y = 1 at i = 1 since p_1 = C_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    poly = recurrence_polys(n)[n]
+    poly = distribution_by_recurrence(n).poly
     cn = catalan(n)
     return [CurvePoint(i / n, float(Fraction(c, cn))) for i, c in poly.terms()]
 

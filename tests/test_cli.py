@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from avpoly.cli import main
+from avpoly.cli import RECURRENCE_CAP, main
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
 
@@ -85,6 +85,16 @@ def test_dist_enum_cap(capsys, monkeypatch):
 def test_dist_closed_rejects_zero(capsys):
     code, _, _ = run(capsys, "dist", "--n", "0", "--method", "closed")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command,flag", [("dist", "--n"), ("curve", "--n"), ("checkfe", "--order")]
+)
+def test_recurrence_cap_exits_2(capsys, command, flag):
+    code, out, err = run(capsys, command, flag, str(RECURRENCE_CAP + 1))
+    assert code == 2
+    assert out == ""
+    assert f"recurrence cap {RECURRENCE_CAP}" in err
 
 
 def test_dist_deterministic(capsys):

@@ -1,10 +1,15 @@
 """Distribution polynomials, moments, asymptotics, series identity, curve."""
 
+import functools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from avpoly import distribution
 from avpoly.distribution import (
     EnumerationCapExceeded,
     closed_coefficient,
@@ -81,6 +86,70 @@ def test_closed_coefficient_examples():
     assert closed_coefficient(5, 16) == 0
     with pytest.raises(ValueError):
         closed_coefficient(0, 1)
+
+
+@functools.cache
+def three_part_oracle(n: int) -> list[Poly]:
+    """Reference: the series identity's three-part convolution on dicts,
+    A_{p+1} = sum_k C_k C_{p-k} q^{k+1} + C_{p-k} q^{k+1} A_k + C_k A_{p-k}."""
+    table: list[dict] = [{}]
+    for p in range(n):
+        acc: dict[int, int] = {}
+        for k in range(p + 1):
+            ck, cpk = catalan(k), catalan(p - k)
+            acc[k + 1] = acc.get(k + 1, 0) + ck * cpk
+            for e, c in table[k].items():
+                acc[e + k + 1] = acc.get(e + k + 1, 0) + cpk * c
+            for e, c in table[p - k].items():
+                acc[e] = acc.get(e, 0) + ck * c
+        table.append(acc)
+    return [Poly(row) for row in table]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
+def test_recurrence_matches_three_part_oracle(first, second):
+    # start from an empty cache so each size is built at its own field
+    # width, then grow (rebuild wider) or reuse the cached table
+    saved = distribution._rec_table
+    distribution._rec_table = (1, [1])
+    try:
+        assert recurrence_polys(first) == three_part_oracle(40)[: first + 1]
+        assert distribution_by_recurrence(second).poly == three_part_oracle(40)[second]
+        assert recurrence_polys(second) == three_part_oracle(40)[: second + 1]
+    finally:
+        distribution._rec_table = saved
+
+
+def test_recurrence_cache_under_threads():
+    # more threads than cores race to build, rebuild and read the table
+    sizes = [5, 40, 17, 33, 2, 40, 25, 11]
+    results: list = [None] * len(sizes)
+
+    def work(i, n):
+        results[i] = distribution_by_recurrence(n).poly
+
+    saved, interval = distribution._rec_table, sys.getswitchinterval()
+    distribution._rec_table = (1, [1])
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i, n)) for i, n in enumerate(sizes)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        distribution._rec_table = saved
+    assert results == [three_part_oracle(40)[n] for n in sizes]
+
+
+def test_recurrence_rejects_negative_size():
+    with pytest.raises(ValueError):
+        recurrence_polys(-1)
+    with pytest.raises(ValueError):
+        distribution_by_recurrence(-1)
 
 
 def test_record_json_shape():
@@ -195,6 +264,36 @@ def test_functional_equation_detects_corruption():
     polys = list(recurrence_polys(8))
     polys[2] = polys[2] + Poly([(1, 1)])
     assert functional_equation_mismatch(8, polys) == 2
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        Poly([(1, -1)]),
+        Poly([(1, -10)]),  # q^1 coefficient C_3 = 5 becomes -5: same magnitude
+        Poly([(7, -1)]),  # a negative term above the degree
+        Poly([(2, 1 << 4096)]),  # far wider than bitlen(n C_n)
+    ],
+)
+def test_functional_equation_detects_signed_and_wide_corruption(corruption):
+    polys = list(recurrence_polys(8))
+    polys[3] = polys[3] + corruption
+    assert functional_equation_mismatch(8, polys) == 3
+
+
+def test_functional_equation_detects_carry_aliased_corruption():
+    # +2^w at q^2 and -1 at q^3 pack to an unchanged int when fields are
+    # w bits wide; the check must see the change at every byte width
+    base = list(recurrence_polys(8))
+    for w in range(8, 520, 8):
+        polys = list(base)
+        polys[3] = polys[3] + Poly([(2, 1 << w), (3, -1)])
+        assert functional_equation_mismatch(8, polys) == 3, w
+
+
+def test_functional_equation_rejects_short_override():
+    with pytest.raises(ValueError):
+        functional_equation_mismatch(8, recurrence_polys(5))
 
 
 def test_functional_equation_rejects_bad_order():
