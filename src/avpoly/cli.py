@@ -11,11 +11,14 @@ reduce   Scaled reduction polynomial of a 3-partition instance file.
 checkfe  Check the distribution series identity up to a given order.
 
 Exit codes: 0 success, 1 negative mathematical answer (NO / identity
-fails), 2 input or validation error, 3 I/O error, 4 budget exhausted.
+fails), 2 input or validation error, 3 I/O error, 4 budget exhausted
+(also `invert --general` when the search nests deeper than the
+interpreter's recursion limit, as for a path of 1200 edges).
 
 The environment variable AVPOLY_ENUM_CAP overrides the enumeration cap
-(default 13) used by `dist --method enum`. `dist --method rec`, `curve`
-and `checkfe` refuse sizes above RECURRENCE_CAP.
+(default 13) used by `dist --method enum`. `dist --method rec`,
+`dist --method closed`, `curve` and `checkfe` refuse sizes above
+RECURRENCE_CAP.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from . import inverse as inv
 from .polyalg import Poly
 from .tree import LabeledTree, TreeParseError, label_tree, parse_tree
 
-# Largest size the recurrence commands accept. Measured on a 2-vCPU x86 VM
-# (Python 3.11): at 200, `dist --n` takes 7.0 s and 115 MB peak RSS and
+# Largest size the recurrence and closed-form commands accept. Measured on
+# a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 7.0 s and 115 MB
+# peak RSS, `dist --n --method closed` 13-15 s and 110 MB, and
 # `checkfe --order` 12.9 s and 423 MB; cost grows faster than n^4.
 RECURRENCE_CAP = 200
 
@@ -116,9 +120,9 @@ def cmd_dist(args) -> int:
             except ValueError:
                 return _fail(f"AVPOLY_ENUM_CAP must be an integer, got {raw_cap!r}", 2)
             record = dist.distribution_by_enumeration(n, cap=cap)
+        elif n > RECURRENCE_CAP:
+            return _fail(f"--n exceeds the {_METHOD_NAMES[method]} cap {RECURRENCE_CAP}", 2)
         elif method == "rec":
-            if n > RECURRENCE_CAP:
-                return _fail(f"--n exceeds the recurrence cap {RECURRENCE_CAP}", 2)
             record = dist.distribution_by_recurrence(n)
         else:
             record = dist.distribution_by_closed_form(n)
@@ -171,7 +175,10 @@ def cmd_invert(args) -> int:
     if args.height2:
         result = inv.solve_height2(poly)
     else:
-        result = inv.solve_general(poly, budget=args.budget)
+        try:
+            result = inv.solve_general(poly, budget=args.budget)
+        except RecursionError:
+            return _fail("search nests deeper than the interpreter's recursion limit", 4)
     if result.status == "budget_exhausted":
         for tree in result.trees:
             print(tree.encode())

@@ -1,8 +1,10 @@
 """The avalanche-size distribution over all plane trees with n edges.
 
 Three independent routes compute the same polynomial: exhaustive
-enumeration, a convolution recurrence, and a closed per-coefficient
-formula over strictly increasing exponent sequences. On top of those:
+enumeration, a convolution recurrence, and the closed formula over
+strictly increasing exponent sequences, summed by a dynamic programme
+over the last part of the sequence (O(n^2) additions of coefficient
+lists rather than one term per subset of 1..n). On top of those:
 exact rational mean and variance, floating asymptotic ratios, a
 truncated-series identity check, and the renormalized curve.
 
@@ -190,10 +192,46 @@ def distribution_by_recurrence(n: int) -> DistributionRecord:
     return DistributionRecord(n, _unpack(rows[n], width), "recurrence")
 
 
+def _closed_form_coefficients(n: int) -> list[int]:
+    """Coefficients 0..n(n+1)/2 of the size-n distribution by the closed
+    formula: the sum over strictly increasing sequences
+    p_1 < ... < p_k <= n of
+
+        q^(p_1 + ... + p_k) C_{p_1-1} prod_{i>1} C_{p_i - p_{i-1}} C_{n-p_k+1},
+
+    with the terms grouped by their last part. F_p, the sum of
+    q^(sum) C_{p_1-1} prod C_{p_i - p_{i-1}} over the sequences ending at
+    p, does not depend on n and satisfies
+
+        F_p = q^p (C_{p-1} + sum_{l<p} C_{p-l} F_l),
+        A_n = sum_{p=1..n} C_{n-p+1} F_p.
+
+    g[p] holds the dense coefficients of F_p / q^p, of degree p(p-1)/2.
+    That is O(n^2) scaled additions of coefficient lists, O(n^4) integer
+    operations, and no use of the recurrence.
+    """
+    cat = [catalan(k) for k in range(n + 1)]
+    g: list[list[int]] = [[]]
+    total = [0] * (n * (n + 1) // 2 + 1)
+    for p in range(1, n + 1):
+        acc = [0] * (p * (p - 1) // 2 + 1)
+        acc[0] = cat[p - 1]
+        for l in range(1, p):
+            c = cat[p - l]
+            for e, v in enumerate(g[l], l):
+                acc[e] += c * v
+        g.append(acc)
+        c = cat[n - p + 1]
+        for e, v in enumerate(acc, p):
+            total[e] += c * v
+    return total
+
+
 def closed_coefficient(n: int, v: int) -> int:
-    """Coefficient of q^v in the size-n distribution, summed over strictly
-    increasing positive sequences p_1 < ... < p_k <= n with sum v; each
-    contributes C_{p_1-1} * prod C_{p_i - p_{i-1}} * C_{n - p_k + 1}.
+    """Coefficient of q^v in the size-n distribution by the closed
+    formula (see `_closed_form_coefficients`): the sum over strictly
+    increasing positive sequences p_1 < ... < p_k <= n with sum v of
+    C_{p_1-1} * prod C_{p_i - p_{i-1}} * C_{n - p_k + 1}.
 
     Out-of-range v yields 0.
     """
@@ -201,39 +239,15 @@ def closed_coefficient(n: int, v: int) -> int:
         raise ValueError("n must be >= 1")
     if v < 1 or v > n * (n + 1) // 2:
         return 0
-    total = 0
-
-    def rec(last: int, remaining: int, partial: int):
-        nonlocal total
-        for p in range(last + 1, min(n, remaining) + 1):
-            factor = catalan(p - 1) if last == 0 else catalan(p - last)
-            rest = remaining - p
-            if rest == 0:
-                total += partial * factor * catalan(n - p + 1)
-            elif rest > p:  # the next part must strictly exceed p
-                rec(p, rest, partial * factor)
-
-    rec(0, v, 1)
-    return total
+    return _closed_form_coefficients(n)[v]
 
 
 def distribution_by_closed_form(n: int) -> DistributionRecord:
-    """Assemble the whole polynomial by one pass over all strictly
-    increasing sequences with parts <= n (one per nonempty subset of 1..n)."""
+    """The whole polynomial by the closed formula, in O(n^2) scaled
+    additions of coefficient lists (see `_closed_form_coefficients`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc: dict[int, int] = {}
-
-    def rec(last: int, total_sum: int, partial: int):
-        for p in range(last + 1, n + 1):
-            factor = catalan(p - 1) if last == 0 else catalan(p - last)
-            term = partial * factor
-            s = total_sum + p
-            acc[s] = acc.get(s, 0) + term * catalan(n - p + 1)
-            rec(p, s, term)
-
-    rec(0, 0, 1)
-    return DistributionRecord(n, Poly(acc), "closed")
+    return DistributionRecord(n, Poly(enumerate(_closed_form_coefficients(n))), "closed")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 avalanche polynomials, and exhaustive enumeration.
 
 A tree is encoded as "(" + child encodings + ")", so the single vertex
-is "()" and a root with two leaf children is "(()())". All traversal is
-iterative; deep path trees do not hit the recursion limit.
+is "()" and a root with two leaf children is "(()())". Parsing,
+encoding, labeling and `avalanche_poly` are iterative, so deep path
+trees do not hit the recursion limit; `dyck_words` and
+`enumerate_trees` recurse to depth 2n, and the count of trees keeps n
+far below the recursion limit.
 """
 
 from __future__ import annotations
@@ -186,6 +189,33 @@ def dyck_words(n: int) -> Iterator[str]:
 
 def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     """Every plane tree with n edges exactly once, streamed in
-    lexicographic order of its encoding; the total count is catalan(n)."""
-    for w in dyck_words(n):
-        yield parse_tree("(" + w + ")")
+    lexicographic order of its encoding; the total count is catalan(n).
+
+    Follows the recursion of `dyck_words` and builds each tree along the
+    way: a ')' closes a subtree, which is built once and shared by every
+    tree whose encoding continues past it. Only the right spine still
+    open at the end of a word is built per tree.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    # closed children of each vertex on the open spine, root first
+    spine: list[list[PlaneTree]] = [[]]
+
+    def rec(opens_left: int) -> Iterator[PlaneTree]:
+        if opens_left == 0:
+            node = PlaneTree(spine[-1])
+            for kids in reversed(spine[:-1]):
+                node = PlaneTree([*kids, node])
+            yield node
+            return
+        spine.append([])
+        yield from rec(opens_left - 1)
+        spine.pop()
+        if len(spine) > 1:
+            kids = spine.pop()
+            spine[-1].append(PlaneTree(kids))
+            yield from rec(opens_left)
+            spine[-1].pop()
+            spine.append(kids)
+
+    yield from rec(n)

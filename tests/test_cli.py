@@ -5,6 +5,7 @@ import json
 import pytest
 
 from avpoly.cli import RECURRENCE_CAP, main
+from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
 
@@ -95,6 +96,13 @@ def test_recurrence_cap_exits_2(capsys, command, flag):
     assert code == 2
     assert out == ""
     assert f"recurrence cap {RECURRENCE_CAP}" in err
+
+
+def test_dist_closed_cap_exits_2(capsys):
+    code, out, err = run(capsys, "dist", "--n", str(RECURRENCE_CAP + 1), "--method", "closed")
+    assert code == 2
+    assert out == ""
+    assert f"cap {RECURRENCE_CAP}" in err
 
 
 def test_dist_deterministic(capsys):
@@ -219,6 +227,16 @@ def test_invert_budget_exhausted_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, "invert", poly_json, "--general", "--budget", "3")
     assert code == 4
     assert "budget" in err
+
+
+def test_invert_general_too_deep_exits_4(capsys):
+    path = parse_tree("(" * 1201 + ")" * 1201)  # 1200 edges
+    poly_json = json.dumps(avalanche_poly(path).to_pairs())
+    code, out, err = run(capsys, "invert", poly_json, "--general")
+    assert code == 4
+    assert out == ""
+    assert "recursion limit" in err
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Distribution polynomials, moments, asymptotics, series identity, curve."""
 
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -86,6 +87,31 @@ def test_closed_coefficient_examples():
     assert closed_coefficient(5, 16) == 0
     with pytest.raises(ValueError):
         closed_coefficient(0, 1)
+
+
+def closed_formula_by_subsets(n: int) -> dict[int, int]:
+    """Reference: the closed formula term by term, one strictly increasing
+    sequence p_1 < ... < p_k <= n per nonempty subset of 1..n."""
+    coeffs: dict[int, int] = {}
+    for k in range(1, n + 1):
+        for parts in itertools.combinations(range(1, n + 1), k):
+            term = catalan(parts[0] - 1) * catalan(n - parts[-1] + 1)
+            for prev, cur in zip(parts, parts[1:]):
+                term *= catalan(cur - prev)
+            coeffs[sum(parts)] = coeffs.get(sum(parts), 0) + term
+    return coeffs
+
+
+def test_closed_coefficient_matches_subset_sum():
+    for n in range(1, 13):
+        oracle = closed_formula_by_subsets(n)
+        for v in range(-1, n * (n + 1) // 2 + 2):
+            assert closed_coefficient(n, v) == oracle.get(v, 0), (n, v)
+
+
+def test_closed_form_matches_recurrence():
+    for n in range(1, 61):
+        assert distribution_by_closed_form(n).poly == distribution_by_recurrence(n).poly, n
 
 
 @functools.cache

@@ -1,5 +1,7 @@
 """Plane trees: encoding, labeling, avalanche polynomials, enumeration."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -215,6 +217,17 @@ def test_dyck_words_basics():
     assert list(dyck_words(2)) == ["(())", "()()"]
     with pytest.raises(ValueError):
         list(dyck_words(-1))
+
+
+def test_enumeration_follows_dyck_words():
+    for n in range(11):
+        assert [t.encode() for t in enumerate_trees(n)] == ["(" + w + ")" for w in dyck_words(n)]
+
+
+def test_enumerate_trees_is_a_generator_that_rejects_negative_sizes():
+    assert inspect.isgeneratorfunction(enumerate_trees)
+    with pytest.raises(ValueError):
+        list(enumerate_trees(-1))
 
 
 def test_enumeration_streams_lazily():
