@@ -12,13 +12,15 @@ checkfe  Check the distribution series identity up to a given order.
 
 Exit codes: 0 success, 1 negative mathematical answer (NO / identity
 fails), 2 input or validation error, 3 I/O error, 4 budget exhausted
-(also `invert --general` when the search nests deeper than the
-interpreter's recursion limit, as for a path of 1200 edges).
+(also when a recursion nests deeper than the interpreter's recursion
+limit: `invert --general` on a path of 1200 edges, or `dist --method
+enum --n 600` with the cap raised).
 
 The environment variable AVPOLY_ENUM_CAP overrides the enumeration cap
 (default 13) used by `dist --method enum`. `dist --method rec`,
 `dist --method closed`, `curve` and `checkfe` refuse sizes above
-RECURRENCE_CAP.
+RECURRENCE_CAP; `invert --height2` refuses polynomials whose tree would
+have more than HEIGHT2_CAP vertices.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ from .tree import LabeledTree, TreeParseError, label_tree, parse_tree
 # peak RSS, `dist --n --method closed` 13-15 s and 110 MB, and
 # `checkfe --order` 12.9 s and 423 MB; cost grows faster than n^4.
 RECURRENCE_CAP = 200
+
+# Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
+# Measured on the same VM: at the cap the star 4999999*q, the costliest
+# shape since every vertex is a root child, takes 10-11 s and 437 MB peak
+# RSS.
+HEIGHT2_CAP = 5_000_000
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
 
@@ -119,7 +127,10 @@ def cmd_dist(args) -> int:
                 cap = int(raw_cap) if raw_cap else dist.DEFAULT_ENUM_CAP
             except ValueError:
                 return _fail(f"AVPOLY_ENUM_CAP must be an integer, got {raw_cap!r}", 2)
-            record = dist.distribution_by_enumeration(n, cap=cap)
+            try:
+                record = dist.distribution_by_enumeration(n, cap=cap)
+            except RecursionError:
+                return _fail("enumeration nests deeper than the interpreter's recursion limit", 4)
         elif n > RECURRENCE_CAP:
             return _fail(f"--n exceeds the {_METHOD_NAMES[method]} cap {RECURRENCE_CAP}", 2)
         elif method == "rec":
@@ -173,6 +184,9 @@ def cmd_invert(args) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         return _fail(f"bad polynomial: {exc}", 2)
     if args.height2:
+        vertices = 1 + poly.moment()
+        if vertices > HEIGHT2_CAP:
+            return _fail(f"a tree of {vertices} vertices exceeds the height-2 cap {HEIGHT2_CAP}", 2)
         result = inv.solve_height2(poly)
     else:
         try:

@@ -2,17 +2,19 @@
 
 `solve_height2` is the greedy linear reconstruction for trees of height
 at most 2. `solve_general` is an exhaustive budgeted backtracking search
-over canonical trees (children sorted by subtree size, then encoding).
+over canonical trees (children sorted by subtree size, then encoding);
+it runs on parenthesis encodings and builds trees only for solutions.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .polyalg import Poly
-from .tree import PlaneTree, avalanche_poly, label_tree
+from .tree import PlaneTree, avalanche_poly, label_tree, parse_tree
 
 __all__ = [
     "ThreePartitionInstance",
@@ -67,6 +69,7 @@ class ThreePartitionInstance:
 class InverseResult:
     status: str  # "found" | "no_tree" | "budget_exhausted"
     trees: list[PlaneTree] = field(default_factory=list)
+    attempts: int = 0  # placements made by `solve_general`
 
 
 def validate_instance(inst: ThreePartitionInstance):
@@ -113,7 +116,9 @@ def solve_height2(poly: Poly) -> InverseResult:
     if counts.get(0):
         return InverseResult("no_tree")  # no non-root vertex can be labeled 0
 
-    child_sizes: list[int] = []
+    # trees are immutable, so one leaf and one branch per size j are shared
+    leaf = PlaneTree()
+    children: list[PlaneTree] = []
     for j in sorted(counts):
         c = counts[j]
         if c <= 0:
@@ -123,12 +128,10 @@ def solve_height2(poly: Poly) -> InverseResult:
             if counts.get(j + 1, 0) < need:
                 return InverseResult("no_tree")
             counts[j + 1] -= need
-        child_sizes.extend([j] * c)
+        children.extend([PlaneTree([leaf] * (j - 1))] * c)
         counts[j] = 0
 
-    tree = PlaneTree(
-        PlaneTree(PlaneTree() for _ in range(j - 1)) for j in child_sizes
-    )
+    tree = PlaneTree(children)
     assert avalanche_poly(tree) == poly
     return InverseResult("found", [tree])
 
@@ -149,8 +152,10 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     A vertex labeled mu receives children of subtree size s only when the
     label mu+s is still unconsumed; children are generated in
     non-decreasing (size, encoding) order so each plane-tree orbit is
-    visited once. Returns all solutions when the search space closes;
-    `budget_exhausted` reports any trees found before the cutoff.
+    visited once. The search runs on parenthesis encodings and builds a
+    `PlaneTree` only for each solution. Returns all solutions when the
+    search space closes; `budget_exhausted` reports any trees found
+    before the cutoff. `attempts` counts the placements made.
     """
     avail = {}
     for e, c in poly.items():
@@ -159,52 +164,59 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
         avail[e] = c
     if avail.get(0):
         return InverseResult("no_tree")
+    labels = sorted(avail)
+    n_labels = len(labels)
     total = sum(avail.values())
     attempts = 0
 
     def forest(mu: int, room: int, lo_key):
-        """Yield canonical child tuples for a vertex labeled mu that must
-        hold exactly `room` descendant vertices."""
+        """Yield the concatenated encodings of canonical child sequences
+        for a vertex labeled mu that must hold exactly `room` > 0
+        descendant vertices, each sequence not below `lo_key`."""
         nonlocal attempts
-        if room == 0:
-            yield ()
-            return
-        start = lo_key[0] if lo_key else 1
-        for s in range(start, room + 1):
-            lbl = mu + s
-            if not avail.get(lbl):
+        i = bisect_left(labels, mu + (lo_key[0] if lo_key else 1))
+        last = mu + room
+        while i < n_labels and labels[i] <= last:
+            lbl = labels[i]
+            i += 1
+            if not avail[lbl]:
                 continue
-            attempts += 1
-            if attempts > budget:
+            if attempts >= budget:
                 raise _BudgetExhausted
+            attempts += 1
             avail[lbl] -= 1
+            s = lbl - mu
             try:
-                for kids in forest(lbl, s - 1, None):
-                    child = PlaneTree(kids)
-                    key = (s, child.encode())
+                for kids in forest(lbl, s - 1, None) if s > 1 else ("",):
+                    enc = "(" + kids + ")"
+                    key = (s, enc)
                     if lo_key and key < lo_key:
                         continue
-                    for rest in forest(mu, room - s, key):
-                        yield (child,) + rest
+                    if s == room:
+                        yield enc
+                    else:
+                        for rest in forest(mu, room - s, key):
+                            yield enc + rest
             finally:
                 avail[lbl] += 1
 
-    solutions: list[PlaneTree] = []
+    found: list[str] = []
     exhausted = False
     try:
-        for kids in forest(0, total, None):
-            tree = PlaneTree(kids)
-            assert avalanche_poly(tree) == poly
-            solutions.append(tree)
+        for kids in forest(0, total, None) if total else ("",):
+            found.append("(" + kids + ")")
     except _BudgetExhausted:
         exhausted = True
 
-    solutions.sort(key=PlaneTree.encode)
+    found.sort()
+    solutions = [parse_tree(enc) for enc in found]
+    for tree in solutions:
+        assert avalanche_poly(tree) == poly
     if exhausted:
         status = "budget_exhausted"
     else:
         status = "found" if solutions else "no_tree"
-    return InverseResult(status, solutions)
+    return InverseResult(status, solutions, attempts)
 
 
 # ---------------------------------------------------------------------------

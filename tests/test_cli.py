@@ -1,10 +1,16 @@
 """CLI surface: outputs, exit codes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from avpoly.cli import RECURRENCE_CAP, main
+import avpoly
+from avpoly import inverse as inv
+from avpoly.cli import HEIGHT2_CAP, RECURRENCE_CAP, main
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -81,6 +87,20 @@ def test_dist_enum_cap(capsys, monkeypatch):
     monkeypatch.setenv("AVPOLY_ENUM_CAP", "3")
     code, out, _ = run(capsys, "dist", "--n", "3", "--method", "enum")
     assert code == 0
+
+
+def test_dist_enum_too_deep_exits_4():
+    src = str(Path(avpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, AVPOLY_ENUM_CAP="1000", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "avpoly", "dist", "--n", "600", "--method", "enum"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "recursion limit" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_dist_closed_rejects_zero(capsys):
@@ -204,6 +224,26 @@ def test_invert_general(capsys):
     code, out, _ = run(capsys, "invert", "q^2 + q^3", "--general")
     assert code == 0
     assert out.strip() == "((()))"
+
+
+def test_invert_height2_vertex_cap(capsys, monkeypatch):
+    calls = []
+
+    def stub(poly):
+        calls.append(poly)
+        return inv.InverseResult("no_tree")
+
+    monkeypatch.setattr(inv, "solve_height2", stub)
+    # HEIGHT2_CAP non-root vertices plus the root: one over the cap
+    code, out, err = run(capsys, "invert", f"{HEIGHT2_CAP}*q", "--height2")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    assert len(err.splitlines()) == 1
+    assert calls == []
+    code, out, _ = run(capsys, "invert", f"{HEIGHT2_CAP - 2}*q + q^2", "--height2")
+    assert (code, out) == (1, "NO\n")
+    assert len(calls) == 1
 
 
 def test_invert_accepts_json_pairs(capsys):

@@ -184,6 +184,97 @@ def test_general_results_are_sorted_and_unique():
     assert encs == sorted(set(encs))
 
 
+def test_general_attempts_pin_the_budget_boundary():
+    reduction = reduction_poly(ThreePartitionInstance(n=1, C=26, a=(7, 9, 10), lam=4))
+    for poly in (reduction, Poly([(1, 3), (2, 1), (3, 1)])):
+        r = solve_general(poly)
+        assert r.status == "found"
+        assert r.attempts > 0
+        done = solve_general(poly, budget=r.attempts)
+        assert (done.status, done.trees, done.attempts) == (r.status, r.trees, r.attempts)
+        cut = solve_general(poly, budget=r.attempts - 1)
+        assert cut.status == "budget_exhausted"
+        assert cut.attempts == r.attempts - 1
+
+
+def reference_solve_general(poly: Poly, budget: int):
+    """The general search as it was before it ran on encodings: it builds
+    a PlaneTree for every candidate child and keys children by
+    (size, encode()). Returns (status, sorted encodings)."""
+
+    class Exhausted(Exception):
+        pass
+
+    avail = dict(poly.items())
+    if avail.get(0):
+        return "no_tree", []
+    total = sum(avail.values())
+    attempts = 0
+
+    def forest(mu, room, lo_key):
+        nonlocal attempts
+        if room == 0:
+            yield ()
+            return
+        start = lo_key[0] if lo_key else 1
+        for s in range(start, room + 1):
+            lbl = mu + s
+            if not avail.get(lbl):
+                continue
+            attempts += 1
+            if attempts > budget:
+                raise Exhausted
+            avail[lbl] -= 1
+            try:
+                for kids in forest(lbl, s - 1, None):
+                    child = PlaneTree(kids)
+                    key = (s, child.encode())
+                    if lo_key and key < lo_key:
+                        continue
+                    for rest in forest(mu, room - s, key):
+                        yield (child,) + rest
+            finally:
+                avail[lbl] += 1
+
+    solutions = []
+    try:
+        for kids in forest(0, total, None):
+            solutions.append(PlaneTree(kids).encode())
+    except Exhausted:
+        return "budget_exhausted", sorted(solutions)
+    return ("found" if solutions else "no_tree"), sorted(solutions)
+
+
+# No polynomial of a tree with <= 8 edges has two canonical solutions; the
+# first three below are the smallest that do (10 and 11 edges). The last
+# two have no tree: each is a tree's polynomial with one unit of its top
+# coefficient moved one exponent up.
+ORACLE_POLYS = [
+    "2*q^5 + 4*q^6 + 2*q^7 + 2*q^8",
+    "q^4 + 2*q^7 + 6*q^8 + q^9 + q^10",
+    "q^4 + 2*q^7 + 2*q^8 + 3*q^9 + 3*q^10",
+    "3*q + q^2 + q^3",
+    "2*q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7",
+    "q + q^3 + q^4 + q^5 + q^6 + q^7 + q^8 + q^9",
+    "2*q + q^6 + q^7 + 2*q^8 + q^9 + q^10",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_POLYS)
+def test_general_matches_tree_building_reference_at_every_budget(text):
+    poly = Poly.from_text(text)
+    budget = 0
+    while True:
+        budget += 1
+        expected = reference_solve_general(poly, budget)
+        r = solve_general(poly, budget)
+        assert (r.status, [t.encode() for t in r.trees]) == expected
+        if expected[0] != "budget_exhausted":
+            break
+        assert r.attempts == budget
+    assert r.attempts == budget  # the smallest budget the reference completes in
+
+
 # ---------------------------------------------------------------------------
 #  Reduction
 # ---------------------------------------------------------------------------
