@@ -49,7 +49,6 @@ from .tree import (
     TreeParseError,
     avalanche_poly,
     dyck_words,
-    encode_tree,
     enumerate_trees,
     label_tree,
     parse_tree,
@@ -66,7 +65,6 @@ __all__ = [
     "LabeledTree",
     "TreeParseError",
     "parse_tree",
-    "encode_tree",
     "label_tree",
     "avalanche_poly",
     "enumerate_trees",

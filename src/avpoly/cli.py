@@ -12,15 +12,17 @@ checkfe  Check the distribution series identity up to a given order.
 
 Exit codes: 0 success, 1 negative mathematical answer (NO / identity
 fails), 2 input or validation error, 3 I/O error, 4 budget exhausted
-(also when a recursion nests deeper than the interpreter's recursion
-limit: `invert --general` on a path of 1200 edges, or `dist --method
-enum --n 600` with the cap raised).
+(also when the `invert --general` search nests deeper than the
+interpreter's recursion limit: on a path of 1200 edges, or on a wide
+fan such as `1000*q`, where each sibling nests one more generator;
+`900*q` is found).
 
-The environment variable AVPOLY_ENUM_CAP overrides the enumeration cap
-(default 13) used by `dist --method enum`. `dist --method rec`,
+`dist --method enum` refuses sizes above the fixed enumeration cap 13
+(`distribution.DEFAULT_ENUM_CAP`). `dist --method rec`,
 `dist --method closed`, `curve` and `checkfe` refuse sizes above
-RECURRENCE_CAP; `invert --height2` refuses polynomials whose tree would
-have more than HEIGHT2_CAP vertices.
+RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP;
+`invert --height2` refuses polynomials whose tree would have more than
+HEIGHT2_CAP vertices; `invert --budget` must be >= 0.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ from .tree import LabeledTree, TreeParseError, label_tree, parse_tree
 # peak RSS, `dist --n --method closed` 13-15 s and 110 MB, and
 # `checkfe --order` 12.9 s and 423 MB; cost grows faster than n^4.
 RECURRENCE_CAP = 200
+
+# Largest size `moments` accepts: one more and the exact variance has over
+# 4300 digits, the int-to-str limit of Python 3.10-3.12 (kept: it guards
+# against quadratic-time conversion). At 3575 json and text print in 0.17 s.
+MOMENTS_CAP = 3575
 
 # Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
 # Measured on the same VM: at the cap the star 4999999*q, the costliest
@@ -122,15 +129,7 @@ def cmd_dist(args) -> int:
         return _fail("--n must be >= 0", 2)
     try:
         if method == "enum":
-            raw_cap = os.environ.get("AVPOLY_ENUM_CAP", "")
-            try:
-                cap = int(raw_cap) if raw_cap else dist.DEFAULT_ENUM_CAP
-            except ValueError:
-                return _fail(f"AVPOLY_ENUM_CAP must be an integer, got {raw_cap!r}", 2)
-            try:
-                record = dist.distribution_by_enumeration(n, cap=cap)
-            except RecursionError:
-                return _fail("enumeration nests deeper than the interpreter's recursion limit", 4)
+            record = dist.distribution_by_enumeration(n)
         elif n > RECURRENCE_CAP:
             return _fail(f"--n exceeds the {_METHOD_NAMES[method]} cap {RECURRENCE_CAP}", 2)
         elif method == "rec":
@@ -149,6 +148,8 @@ def cmd_dist(args) -> int:
 def cmd_moments(args) -> int:
     if args.n < 1:
         return _fail("--n must be >= 1", 2)
+    if args.n > MOMENTS_CAP:
+        return _fail(f"--n exceeds the moments cap {MOMENTS_CAP}", 2)
     report = dist.moment_report(args.n)
     if args.format == "text":
         text = "\n".join(
@@ -183,6 +184,8 @@ def cmd_invert(args) -> int:
             raise ValueError("polynomial must have nonnegative coefficients")
     except (ValueError, json.JSONDecodeError) as exc:
         return _fail(f"bad polynomial: {exc}", 2)
+    if args.budget < 0:
+        return _fail("--budget must be >= 0", 2)
     if args.height2:
         vertices = 1 + poly.moment()
         if vertices > HEIGHT2_CAP:

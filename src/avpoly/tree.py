@@ -4,9 +4,10 @@ avalanche polynomials, and exhaustive enumeration.
 A tree is encoded as "(" + child encodings + ")", so the single vertex
 is "()" and a root with two leaf children is "(()())". Parsing,
 encoding, labeling and `avalanche_poly` are iterative, so deep path
-trees do not hit the recursion limit; `dyck_words` and
-`enumerate_trees` recurse to depth 2n, and the count of trees keeps n
-far below the recursion limit.
+trees do not hit the recursion limit. `dyck_words` and
+`enumerate_trees` recurse to depth 2n; the enumeration in
+`distribution` stops at the fixed cap `DEFAULT_ENUM_CAP` = 13, so that
+depth is bounded by about 27 frames, far below the recursion limit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "LabeledTree",
     "TreeParseError",
     "parse_tree",
-    "encode_tree",
     "label_tree",
     "avalanche_poly",
     "enumerate_trees",
@@ -99,10 +99,6 @@ def parse_tree(text: str) -> PlaneTree:
     if root is None:
         raise TreeParseError("unbalanced '(': tree never closes", len(text))
     return root
-
-
-def encode_tree(t: PlaneTree) -> str:
-    return t.encode()
 
 
 class LabeledTree:

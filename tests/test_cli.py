@@ -1,16 +1,12 @@
 """CLI surface: outputs, exit codes, round-trips, determinism."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import avpoly
+from avpoly import distribution as dist
 from avpoly import inverse as inv
-from avpoly.cli import HEIGHT2_CAP, RECURRENCE_CAP, main
+from avpoly.cli import HEIGHT2_CAP, MOMENTS_CAP, RECURRENCE_CAP, main
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -81,26 +77,12 @@ def test_dist_enum_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "dist", "--n", "14", "--method", "enum")
     assert code == 2
     assert "cap" in err
-    monkeypatch.setenv("AVPOLY_ENUM_CAP", "2")
-    code, _, err = run(capsys, "dist", "--n", "3", "--method", "enum")
+    # the cap is fixed: the environment variable that once raised it is ignored
+    monkeypatch.setenv("AVPOLY_ENUM_CAP", "1000")
+    code, out, err = run(capsys, "dist", "--n", "14", "--method", "enum")
     assert code == 2
-    monkeypatch.setenv("AVPOLY_ENUM_CAP", "3")
-    code, out, _ = run(capsys, "dist", "--n", "3", "--method", "enum")
-    assert code == 0
-
-
-def test_dist_enum_too_deep_exits_4():
-    src = str(Path(avpoly.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, AVPOLY_ENUM_CAP="1000", PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "avpoly", "dist", "--n", "600", "--method", "enum"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert "recursion limit" in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
+    assert out == ""
+    assert "enumeration cap 13" in err
 
 
 def test_dist_closed_rejects_zero(capsys):
@@ -153,6 +135,23 @@ def test_moments_n1_variance_zero(capsys):
 
 def test_moments_rejects_zero(capsys):
     assert run(capsys, "moments", "--n", "0")[0] == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_moments_cap(capsys, fmt):
+    code, out, _ = run(capsys, "moments", "--n", str(MOMENTS_CAP), "--format", fmt)
+    assert code == 0
+    assert f"{MOMENTS_CAP}" in out
+    code, out, err = run(capsys, "moments", "--n", str(MOMENTS_CAP + 1), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"avpoly: error: --n exceeds the moments cap {MOMENTS_CAP}\n"
+
+
+def test_moments_cap_is_the_digit_limit():
+    # one size more and the exact variance no longer converts to text
+    with pytest.raises(ValueError, match="digits"):
+        str(dist.moment_report(MOMENTS_CAP + 1).variance)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +266,15 @@ def test_invert_budget_exhausted_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, "invert", poly_json, "--general", "--budget", "3")
     assert code == 4
     assert "budget" in err
+
+
+def test_invert_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "invert", "q^2 + q^3", "--general", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+    # a zero budget is valid: the zero polynomial needs no placement
+    assert run(capsys, "invert", "0", "--general", "--budget", "0")[:2] == (0, "()\n")
 
 
 def test_invert_general_too_deep_exits_4(capsys):

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avpoly import distribution
 from avpoly.distribution import (
     EnumerationCapExceeded,
     closed_coefficient,
@@ -71,10 +70,6 @@ def test_cross_equivalence_small():
 def test_enumeration_cap_refusal():
     with pytest.raises(EnumerationCapExceeded):
         distribution_by_enumeration(14)
-    # configurable
-    distribution_by_enumeration(3, cap=3)
-    with pytest.raises(EnumerationCapExceeded):
-        distribution_by_enumeration(4, cap=3)
 
 
 def test_closed_coefficient_examples():
@@ -135,28 +130,21 @@ def three_part_oracle(n: int) -> list[Poly]:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
 def test_recurrence_matches_three_part_oracle(first, second):
-    # start from an empty cache so each size is built at its own field
-    # width, then grow (rebuild wider) or reuse the cached table
-    saved = distribution._rec_table
-    distribution._rec_table = (1, [1])
-    try:
-        assert recurrence_polys(first) == three_part_oracle(40)[: first + 1]
-        assert distribution_by_recurrence(second).poly == three_part_oracle(40)[second]
-        assert recurrence_polys(second) == three_part_oracle(40)[: second + 1]
-    finally:
-        distribution._rec_table = saved
+    # each call builds its table at the field width of its own size
+    assert recurrence_polys(first) == three_part_oracle(40)[: first + 1]
+    assert distribution_by_recurrence(second).poly == three_part_oracle(40)[second]
+    assert recurrence_polys(second) == three_part_oracle(40)[: second + 1]
 
 
 def test_recurrence_cache_under_threads():
-    # more threads than cores race to build, rebuild and read the table
+    # more threads than cores build tables of different sizes at once
     sizes = [5, 40, 17, 33, 2, 40, 25, 11]
     results: list = [None] * len(sizes)
 
     def work(i, n):
         results[i] = distribution_by_recurrence(n).poly
 
-    saved, interval = distribution._rec_table, sys.getswitchinterval()
-    distribution._rec_table = (1, [1])
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(i, n)) for i, n in enumerate(sizes)]
@@ -167,7 +155,6 @@ def test_recurrence_cache_under_threads():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        distribution._rec_table = saved
     assert results == [three_part_oracle(40)[n] for n in sizes]
 
 

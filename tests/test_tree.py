@@ -11,7 +11,6 @@ from avpoly.tree import (
     TreeParseError,
     avalanche_poly,
     dyck_words,
-    encode_tree,
     enumerate_trees,
     label_tree,
     parse_tree,
@@ -74,7 +73,7 @@ def test_encode_basics():
     assert PlaneTree().encode() == "()"
     star3 = PlaneTree([PlaneTree(), PlaneTree(), PlaneTree()])
     assert star3.encode() == "(()()())"
-    assert encode_tree(parse_tree(FIG1)) == FIG1
+    assert parse_tree(FIG1).encode() == FIG1
 
 
 @given(tree_shapes)
