@@ -20,7 +20,8 @@ fan such as `1000*q`, where each sibling nests one more generator;
 `dist --method enum` refuses sizes above the fixed enumeration cap 13
 (`distribution.DEFAULT_ENUM_CAP`). `dist --method rec`,
 `dist --method closed`, `curve` and `checkfe` refuse sizes above
-RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP;
+RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP, and exits 2
+as well when a lowered int-to-str limit cannot print its fractions;
 `invert --height2` refuses polynomials whose tree would have more than
 HEIGHT2_CAP vertices; `invert --budget` must be >= 0.
 """
@@ -31,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import distribution as dist
 from . import inverse as inv
@@ -50,9 +50,10 @@ RECURRENCE_CAP = 200
 MOMENTS_CAP = 3575
 
 # Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
-# Measured on the same VM: at the cap the star 4999999*q, the costliest
-# shape since every vertex is a root child, takes 10-11 s and 437 MB peak
-# RSS.
+# Measured on the same VM: at the cap the costliest shape found, 2499999
+# root children with one leaf each (2499999*q^2 + 2499999*q^3), takes
+# 6.6-6.7 s and 226 MB peak RSS; the star 4999999*q takes 3.8-4.4 s and
+# 139 MB; 124999 branches of 39 leaves take 4.3-4.4 s and 104 MB.
 HEIGHT2_CAP = 5_000_000
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
@@ -68,6 +69,8 @@ def _emit(text: str, out_path: str | None) -> int:
     if out_path is None:
         print(text)
         return 0
+    import tempfile  # only the --out path needs it; kept off the start-up path
+
     try:
         directory = os.path.dirname(os.path.abspath(out_path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".avpoly-")
@@ -151,18 +154,21 @@ def cmd_moments(args) -> int:
     if args.n > MOMENTS_CAP:
         return _fail(f"--n exceeds the moments cap {MOMENTS_CAP}", 2)
     report = dist.moment_report(args.n)
-    if args.format == "text":
-        text = "\n".join(
-            [
-                f"n = {report.n}",
-                f"mean = {report.mean}",
-                f"variance = {report.variance}",
-                f"mean_ratio = {report.mean_ratio!r}",
-                f"variance_ratio = {report.variance_ratio!r}",
-            ]
-        )
-    else:
-        text = json.dumps(report.to_json_dict())
+    try:
+        if args.format == "text":
+            text = "\n".join(
+                [
+                    f"n = {report.n}",
+                    f"mean = {report.mean}",
+                    f"variance = {report.variance}",
+                    f"mean_ratio = {report.mean_ratio!r}",
+                    f"variance_ratio = {report.variance_ratio!r}",
+                ]
+            )
+        else:
+            text = json.dumps(report.to_json_dict())
+    except ValueError as exc:  # the interpreter's int-to-str limit, if set lower
+        return _fail(f"cannot print the moments of --n {args.n}: {exc}", 2)
     return _emit(text, args.out)
 
 

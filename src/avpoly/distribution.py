@@ -27,7 +27,7 @@ overflows into the next one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -70,38 +70,29 @@ class EnumerationCapExceeded(ValueError):
     """Raised when a request would enumerate more trees than the cap allows."""
 
 
-@dataclass(frozen=True)
-class DistributionRecord:
-    n: int
-    poly: Poly
-    method: str  # "enumeration" | "recurrence" | "closed"
+class DistributionRecord(namedtuple("DistributionRecord", "n poly method")):
+    """Immutable (n, poly, method); method is "enumeration", "recurrence"
+    or "closed"."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "method": self.method, "poly": self.poly.to_pairs()}
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    n: int
-    mean: Fraction
-    variance: Fraction
-    mean_ratio: float       # mean / ((sqrt(pi)/4) n^{3/2})
-    variance_ratio: float   # variance / n^3
+class MomentReport(namedtuple("MomentReport", "n mean variance mean_ratio variance_ratio")):
+    """Immutable exact moments (Fractions) and their asymptotic ratios
+    (floats): mean_ratio = mean / ((sqrt(pi)/4) n^{3/2}) and
+    variance_ratio = variance / n^3."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": str(self.mean),
-            "variance": str(self.variance),
-            "mean_ratio": self.mean_ratio,
-            "variance_ratio": self.variance_ratio,
-        }
+        return {**self._asdict(), "mean": str(self.mean), "variance": str(self.variance)}
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    x: float  # i / n
-    y: float  # p_i / C_n
+# One curve point (i/n, p_i/C_n), immutable.
+CurvePoint = namedtuple("CurvePoint", "x y")
 
 
 # ---------------------------------------------------------------------------

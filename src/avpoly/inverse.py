@@ -11,7 +11,7 @@ instances whose polynomials force a unique solution tree shape.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .polyalg import Poly
 from .tree import PlaneTree, avalanche_poly, label_tree, parse_tree
@@ -48,28 +48,27 @@ class ExtractionError(ValueError):
     or the scale factor was too small to force uniqueness)."""
 
 
-@dataclass
 class ThreePartitionInstance:
     """3n values to split into n triples of equal sum C, with every value
     strictly between C/4 and C/2; `lam` scales the reduction polynomial
-    (values and C are multiplied by lam)."""
+    (values and C are multiplied by lam) and defaults to 3n + 1."""
 
-    n: int
-    C: int
-    a: tuple[int, ...]
-    lam: int | None = None
-
-    def __post_init__(self):
-        self.a = tuple(self.a)
-        if self.lam is None:
-            self.lam = 3 * self.n + 1
+    def __init__(self, n: int, C: int, a, lam: int | None = None):
+        self.n = n
+        self.C = C
+        self.a = tuple(a)
+        self.lam = 3 * n + 1 if lam is None else lam
 
 
-@dataclass(frozen=True)
-class InverseResult:
-    status: str  # "found" | "no_tree" | "budget_exhausted"
-    trees: list[PlaneTree] = field(default_factory=list)
-    attempts: int = 0  # placements made by `solve_general`
+class InverseResult(namedtuple("InverseResult", "status trees attempts")):
+    """Immutable search outcome: status is "found", "no_tree" or
+    "budget_exhausted"; trees defaults to a new empty list; attempts
+    counts the placements `solve_general` made."""
+
+    __slots__ = ()
+
+    def __new__(cls, status: str, trees: list[PlaneTree] | None = None, attempts: int = 0):
+        return super().__new__(cls, status, [] if trees is None else trees, attempts)
 
 
 def validate_instance(inst: ThreePartitionInstance):

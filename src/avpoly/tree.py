@@ -12,7 +12,7 @@ depth is bounded by about 27 frames, far below the recursion limit.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .polyalg import Poly, catalan
 
@@ -149,7 +149,10 @@ def label_tree(t: PlaneTree) -> LabeledTree:
 
 
 def avalanche_poly(t: PlaneTree) -> Poly:
-    """Coefficient of q^i counts the non-root vertices labeled i."""
+    """Coefficient of q^i counts the non-root vertices labeled i.
+
+    Only children that have children of their own are pushed, so a wide
+    fan of leaves costs no stack entries."""
     counts: dict[int, int] = {}
     stack = [(t, 0)]
     while stack:
@@ -157,7 +160,8 @@ def avalanche_poly(t: PlaneTree) -> Poly:
         for child in node.children:
             lbl = mu + child.size
             counts[lbl] = counts.get(lbl, 0) + 1
-            stack.append((child, lbl))
+            if child.children:
+                stack.append((child, lbl))
     return Poly(counts)
 
 

@@ -1,9 +1,14 @@
 """CLI surface: outputs, exit codes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import avpoly
 from avpoly import distribution as dist
 from avpoly import inverse as inv
 from avpoly.cli import HEIGHT2_CAP, MOMENTS_CAP, RECURRENCE_CAP, main
@@ -152,6 +157,24 @@ def test_moments_cap_is_the_digit_limit():
     # one size more and the exact variance no longer converts to text
     with pytest.raises(ValueError, match="digits"):
         str(dist.moment_report(MOMENTS_CAP + 1).variance)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_moments_under_a_lowered_digit_limit(capsys, fmt):
+    # MOMENTS_CAP assumes the default limit of 4300 digits; below it the
+    # cap no longer protects the formatting, which must still end in exit 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "moments", "--n", "1000", "--format", fmt)
+        small = run(capsys, "moments", "--n", "100", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("avpoly: error: cannot print the moments of --n 1000: ")
+    assert err.count("\n") == 1
+    assert small[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +381,27 @@ def test_checkfe_small_orders(capsys):
 
 def test_checkfe_rejects_bad_order(capsys):
     assert run(capsys, "checkfe", "--order", "0")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+#  start-up
+# ---------------------------------------------------------------------------
+
+
+def test_startup_leaves_out_unneeded_modules(tmp_path):
+    # every CLI run pays for what `import avpoly.cli` loads; -S keeps .pth
+    # files in site-packages from loading these modules first
+    target = tmp_path / "dist3.json"
+    script = (
+        "import avpoly.cli, sys\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'} & set(sys.modules)))\n"
+        f"sys.exit(avpoly.cli.main(['dist', '--n', '3', '--out', {str(target)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    # --out imports tempfile on demand and still writes the file
+    assert json.loads(target.read_text()) == dist.distribution_by_recurrence(3).to_json_dict()

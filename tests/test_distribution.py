@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avpoly.distribution import (
+    CurvePoint,
+    DistributionRecord,
     EnumerationCapExceeded,
+    MomentReport,
     closed_coefficient,
     curve_csv_lines,
     distribution_by_closed_form,
@@ -170,6 +173,21 @@ def test_record_json_shape():
     assert d == {"n": 2, "method": "recurrence", "poly": [[1, "2"], [2, "1"], [3, "1"]]}
 
 
+def test_record_constructors_and_immutability():
+    rec = DistributionRecord(n=2, poly=A2, method="recurrence")
+    assert rec == DistributionRecord(2, A2, "recurrence") == distribution_by_recurrence(2)
+    report = moment_report(2)
+    assert report == MomentReport(
+        2, Fraction(7, 4), Fraction(11, 16), report.mean_ratio, variance_ratio=report.variance_ratio
+    )
+    assert list(report.to_json_dict()) == ["n", "mean", "variance", "mean_ratio", "variance_ratio"]
+    point = CurvePoint(x=0.5, y=1.0)
+    assert normalized_curve(2)[0] == point
+    for record, attr in ((rec, "n"), (report, "mean"), (point, "x")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0)
+
+
 # ---------------------------------------------------------------------------
 #  Invariants of the distribution
 # ---------------------------------------------------------------------------
@@ -252,6 +270,32 @@ def test_moment_report_precision_against_float_path():
         assert abs(r.mean_ratio / crude - 1) < 1e-10
 
 
+def test_moments_match_taylor_recurrence():
+    # T_r[f] = f^(r)(1)/r!. With B_k = C_k + A_k, the recurrence
+    # A_m = sum_{k<m} C_{m-k} q^(k+1) B_k gives, at q = 1,
+    #   T_r[A_m] = sum_{k<m} C_{m-k} sum_{j<=r} binom(k+1, j) T_{r-j}[B_k],
+    # with T_0[B_k] = (k+1) C_k: no polynomial is built and no closed
+    # moment formula is used, so it checks those formulas up to n = 300
+    size = 300
+    cat = [catalan(k) for k in range(size + 1)]
+    taylor = [[(k + 1) * cat[k] for k in range(size + 1)], [0] * (size + 1), [0] * (size + 1)]
+    shifted = [[0] * (size + 1) for _ in range(3)]  # T_r[q^(k+1) B_k]
+    for m in range(size + 1):
+        if m:
+            assert sum(cat[m - k] * shifted[0][k] for k in range(m)) == m * cat[m]
+            for r in (1, 2):
+                taylor[r][m] = sum(cat[m - k] * shifted[r][k] for k in range(m))
+        for r in range(3):
+            shifted[r][m] = sum(math.comb(m + 1, j) * taylor[r - j][m] for j in range(r + 1))
+    for n in range(1, size + 1):
+        mass = n * cat[n]
+        first = taylor[1][n]  # sum_e e a_e
+        second = 2 * taylor[2][n] + first  # sum_e e^2 a_e
+        assert first_moment_total(n) == first, n
+        assert mean_exact(n) == Fraction(first, mass), n
+        assert variance_exact(n) == Fraction(second, mass) - Fraction(first, mass) ** 2, n
+
+
 def test_mean_closed_form_identity():
     # 4^{n-1}(n+2)/(n C_n) - (n+1)^2/(2n) reproduces the mass quotient
     for n in range(1, 30):
@@ -271,6 +315,14 @@ def test_functional_equation_holds():
     assert verify_functional_equation(2)
     assert verify_functional_equation(20)
     assert functional_equation_mismatch(12) is None
+
+
+def test_functional_equation_holds_for_closed_form_and_enumeration():
+    # the recurrence is derived from the identity itself; these two are not
+    closed = [Poly()] + [distribution_by_closed_form(n).poly for n in range(1, 19)]
+    assert functional_equation_mismatch(18, closed) is None
+    enumerated = [distribution_by_enumeration(n).poly for n in range(11)]
+    assert functional_equation_mismatch(10, enumerated) is None
 
 
 def test_functional_equation_detects_corruption():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from avpoly.inverse import (
     ExtractionError,
     InstanceValidationError,
+    InverseResult,
     PartitionError,
     ThreePartitionInstance,
     build_reduction_tree,
@@ -292,6 +293,17 @@ def test_reduction_poly_example():
 def test_reduction_lambda_default():
     inst = ThreePartitionInstance(n=1, C=26, a=(7, 9, 10))
     assert inst.lam == 4
+
+
+def test_result_and_instance_constructors():
+    a, b = InverseResult("no_tree"), InverseResult(status="no_tree")
+    assert a == b and (a.trees, a.attempts) == ([], 0)
+    assert a.trees is not b.trees  # each result gets a new list
+    assert InverseResult("found", trees=[PlaneTree()], attempts=3).attempts == 3
+    with pytest.raises(AttributeError):
+        a.status = "found"
+    inst = ThreePartitionInstance(1, 26, [7, 9, 10], 5)
+    assert (inst.n, inst.C, inst.a, inst.lam) == (1, 26, (7, 9, 10), 5)
 
 
 def test_reduction_lambda_one_is_unscaled_form():
