@@ -11,11 +11,8 @@ reduce   Scaled reduction polynomial of a 3-partition instance file.
 checkfe  Check the distribution series identity up to a given order.
 
 Exit codes: 0 success, 1 negative mathematical answer (NO / identity
-fails), 2 input or validation error, 3 I/O error, 4 budget exhausted
-(also when the `invert --general` search nests deeper than the
-interpreter's recursion limit: on a path of 1200 edges, or on a wide
-fan such as `1000*q`, where each sibling nests one more generator;
-`900*q` is found).
+fails), 2 input or validation error, 3 I/O error (also when stdout
+closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 
 `dist --method enum` refuses sizes above the fixed enumeration cap 13
 (`distribution.DEFAULT_ENUM_CAP`). `dist --method rec`,
@@ -198,19 +195,14 @@ def cmd_invert(args) -> int:
             return _fail(f"a tree of {vertices} vertices exceeds the height-2 cap {HEIGHT2_CAP}", 2)
         result = inv.solve_height2(poly)
     else:
-        try:
-            result = inv.solve_general(poly, budget=args.budget)
-        except RecursionError:
-            return _fail("search nests deeper than the interpreter's recursion limit", 4)
+        result = inv.solve_general(poly, budget=args.budget)
+    for tree in result.trees:  # a search cut by the budget prints what it found
+        print(tree.encode())
     if result.status == "budget_exhausted":
-        for tree in result.trees:
-            print(tree.encode())
         return _fail(f"budget of {args.budget} placements exhausted", 4)
     if result.status == "no_tree":
         print("NO")
         return 1
-    for tree in result.trees:
-        print(tree.encode())
     return 0
 
 
@@ -334,7 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull
+        # so the interpreter's flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("stdout closed before the output was written", 3)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,14 +3,14 @@
 `solve_height2` is the greedy linear reconstruction for trees of height
 at most 2. `solve_general` is an exhaustive budgeted backtracking search
 over canonical trees (children sorted by subtree size, then encoding);
-it runs on parenthesis encodings and builds trees only for solutions.
+it is iterative, one loop over an explicit stack of choice points, runs
+on parenthesis encodings and builds trees only for solutions.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 
 from .polyalg import Poly
@@ -140,10 +140,6 @@ def solve_height2(poly: Poly) -> InverseResult:
 # ---------------------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     """Exhaustively search for every canonical tree whose avalanche
     polynomial is `poly`, within a budget of vertex placement attempts.
@@ -151,70 +147,80 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     A vertex labeled mu receives children of subtree size s only when the
     label mu+s is still unconsumed; children are generated in
     non-decreasing (size, encoding) order so each plane-tree orbit is
-    visited once. The search runs on parenthesis encodings and builds a
-    `PlaneTree` only for each solution. Returns all solutions when the
-    search space closes; `budget_exhausted` reports any trees found
-    before the cutoff. `attempts` counts the placements made.
+    visited once. The search is iterative: one loop places vertices
+    depth first and backtracks through an explicit stack of choice
+    points, so neither the depth nor the width of a tree is bounded by
+    the interpreter's recursion limit. It runs on parenthesis encodings
+    and builds a `PlaneTree` only for each solution. Returns all
+    solutions when the search space closes; `budget_exhausted` reports
+    any trees found before the cutoff. `attempts` counts the placements
+    made.
     """
-    avail = {}
-    for e, c in poly.items():
-        if c < 0:
-            raise ValueError("polynomial must have nonnegative coefficients")
-        avail[e] = c
+    avail = dict(poly.items())
+    if any(c < 0 for c in avail.values()):
+        raise ValueError("polynomial must have nonnegative coefficients")
     if avail.get(0):
         return InverseResult("no_tree")
-    labels = sorted(avail)
-    n_labels = len(labels)
-    total = sum(avail.values())
+    labels = [*sorted(avail), float("inf")]  # the sentinel ends every scan
     attempts = 0
-
-    def forest(mu: int, room: int, lo_key):
-        """Yield the concatenated encodings of canonical child sequences
-        for a vertex labeled mu that must hold exactly `room` > 0
-        descendant vertices, each sequence not below `lo_key`."""
-        nonlocal attempts
-        i = bisect_left(labels, mu + (lo_key[0] if lo_key else 1))
-        last = mu + room
-        while i < n_labels and labels[i] <= last:
-            lbl = labels[i]
-            i += 1
-            if not avail[lbl]:
-                continue
-            if attempts >= budget:
-                raise _BudgetExhausted
-            attempts += 1
-            avail[lbl] -= 1
-            s = lbl - mu
-            try:
-                for kids in forest(lbl, s - 1, None) if s > 1 else ("",):
-                    enc = "(" + kids + ")"
-                    key = (s, enc)
-                    if lo_key and key < lo_key:
-                        continue
-                    if s == room:
-                        yield enc
-                    else:
-                        for rest in forest(mu, room - s, key):
-                            yield enc + rest
-            finally:
-                avail[lbl] += 1
-
     found: list[str] = []
-    exhausted = False
-    try:
-        for kids in forest(0, total, None) if total else ("",):
-            found.append("(" + kids + ")")
-    except _BudgetExhausted:
-        exhausted = True
 
-    found.sort()
-    solutions = [parse_tree(enc) for enc in found]
+    # The open vertex is a tuple (label, room left for descendants, key of
+    # its last closed child, encodings of its closed children, parent,
+    # index of its label in `labels`). The children form a linked list
+    # (enc, rest), last child first; before the first child the key is (),
+    # which is below every key. Vertices are immutable, so every choice
+    # point shares what it saved with the states that follow it.
+    v = (0, sum(avail.values()), (), None, None, -1)
+    i = 0  # index in `labels` of the next label to try for v's next child
+    stack = []  # choice points: (open vertex, next label index, label placed)
+    while True:
+        lbl, room, lo_key, kids, parent, idx = v
+        if room:
+            last = lbl + room
+            while labels[i] <= last and not avail[labels[i]]:
+                i += 1
+            if labels[i] <= last:
+                if attempts >= budget:
+                    status = "budget_exhausted"
+                    break
+                attempts += 1
+                child = labels[i]
+                avail[child] -= 1
+                stack.append((v, i + 1, child))
+                if child == lbl + 1:  # a leaf closes at once; lo_key is () or its own key
+                    v = (lbl, room - 1, (1, "()"), ("()", kids), parent, idx)
+                else:
+                    v = (child, child - lbl - 1, (), None, v, i)
+                    i += 1
+                continue
+        else:
+            parts = []
+            while kids:
+                enc, kids = kids
+                parts.append(enc)
+            enc = "(" + "".join(reversed(parts)) + ")"
+            if parent is None:
+                found.append(enc)
+            else:
+                # close the full vertex into its parent, whose scan for a
+                # next child starts at this vertex's label
+                mu, room, lo_key, kids, grand, pidx = parent
+                key = (lbl - mu, enc)
+                if key >= lo_key:
+                    v = (mu, room - key[0], key, (enc, kids), grand, pidx)
+                    i = idx
+                    continue
+        # a dead end or a solution: undo the last placement
+        if not stack:
+            status = "found" if found else "no_tree"
+            break
+        v, i, child = stack.pop()
+        avail[child] += 1
+
+    solutions = [parse_tree(enc) for enc in sorted(found)]
     for tree in solutions:
         assert avalanche_poly(tree) == poly
-    if exhausted:
-        status = "budget_exhausted"
-    else:
-        status = "found" if solutions else "no_tree"
     return InverseResult(status, solutions, attempts)
 
 

@@ -300,14 +300,17 @@ def test_invert_rejects_negative_budget(capsys):
     assert run(capsys, "invert", "0", "--general", "--budget", "0")[:2] == (0, "()\n")
 
 
-def test_invert_general_too_deep_exits_4(capsys):
-    path = parse_tree("(" * 1201 + ")" * 1201)  # 1200 edges
-    poly_json = json.dumps(avalanche_poly(path).to_pairs())
-    code, out, err = run(capsys, "invert", poly_json, "--general")
-    assert code == 4
-    assert out == ""
-    assert "recursion limit" in err
-    assert len(err.splitlines()) == 1
+@pytest.mark.parametrize(
+    "encoding",
+    ["(" * 1201 + ")" * 1201, "(" * 5001 + ")" * 5001]
+    + ["(" + "()" * k + ")" for k in (900, 1000, 5000)],
+    ids=["path-1200", "path-5000", "900*q", "1000*q", "5000*q"],
+)
+def test_invert_general_finds_deep_and_wide_trees(capsys, encoding):
+    # the search keeps its choice points on a stack, not on the call stack,
+    # so neither a long path nor a wide fan reaches the recursion limit
+    poly_json = json.dumps(avalanche_poly(parse_tree(encoding)).to_pairs())
+    assert run(capsys, "invert", poly_json, "--general") == (0, encoding + "\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +408,24 @@ def test_startup_leaves_out_unneeded_modules(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     # --out imports tempfile on demand and still writes the file
     assert json.loads(target.read_text()) == dist.distribution_by_recurrence(3).to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+#  closed stdout
+# ---------------------------------------------------------------------------
+
+
+def test_closed_stdout_exits_3_without_a_traceback():
+    # the output (about 320 kB) outgrows the pipe buffer, so the write
+    # after the reader closes fails whatever the timing
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "avpoly", "curve", "--n", "150"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"x,y\n0.0066"
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 3
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) == 1

@@ -1,5 +1,7 @@
 """Inverse problem: height-2 greedy, general search, 3-partition reduction."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,6 +200,21 @@ def test_general_attempts_pin_the_budget_boundary():
         assert cut.attempts == r.attempts - 1
 
 
+def test_general_wide_fan_in_bounded_memory():
+    # 10^4 leaves under the root: every choice point shares the root's list
+    # of closed children, so memory grows linearly; a copy of the children's
+    # encodings per choice point would hold about 10^8 bytes at the peak
+    tracemalloc.start()
+    try:
+        r = solve_general(Poly.from_text("10000*q"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.status == "found"
+    assert [t.encode() for t in r.trees] == ["(" + "()" * 10000 + ")"]
+    assert peak < 20 * 10**6
+
+
 def reference_solve_general(poly: Poly, budget: int):
     """The general search as it was before it ran on encodings: it builds
     a PlaneTree for every candidate child and keys children by
@@ -247,9 +264,10 @@ def reference_solve_general(poly: Poly, budget: int):
 
 
 # No polynomial of a tree with <= 8 edges has two canonical solutions; the
-# first three below are the smallest that do (10 and 11 edges). The last
+# first three below are the smallest that do (10 and 11 edges). The next
 # two have no tree: each is a tree's polynomial with one unit of its top
-# coefficient moved one exponent up.
+# coefficient moved one exponent up. The last two are the deepest and the
+# widest tree with 6 edges, the path and the fan.
 ORACLE_POLYS = [
     "2*q^5 + 4*q^6 + 2*q^7 + 2*q^8",
     "q^4 + 2*q^7 + 6*q^8 + q^9 + q^10",
@@ -258,6 +276,8 @@ ORACLE_POLYS = [
     "2*q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7",
     "q + q^3 + q^4 + q^5 + q^6 + q^7 + q^8 + q^9",
     "2*q + q^6 + q^7 + 2*q^8 + q^9 + q^10",
+    "q^6 + q^11 + q^15 + q^18 + q^20 + q^21",
+    "6*q",
 ]
 
 
