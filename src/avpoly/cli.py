@@ -20,7 +20,10 @@ closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP, and exits 2
 as well when a lowered int-to-str limit cannot print its fractions;
 `invert --height2` refuses polynomials whose tree would have more than
-HEIGHT2_CAP vertices; `invert --budget` must be >= 0.
+HEIGHT2_CAP vertices, and `reduce --with-partition` above REDUCE_TREE_CAP;
+`invert --budget` must be >= 0. JSON input must have the documented
+shape, with integers (or the decimal strings `reduce` prints) where
+numbers go; anything else exits 2.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import sys
 
 from . import distribution as dist
 from . import inverse as inv
-from .polyalg import Poly
+from .polyalg import Poly, exact_int
 from .tree import LabeledTree, TreeParseError, label_tree, parse_tree
 
 # Largest size the recurrence and closed-form commands accept. Measured on
@@ -52,6 +55,12 @@ MOMENTS_CAP = 3575
 # 6.6-6.7 s and 226 MB peak RSS; the star 4999999*q takes 3.8-4.4 s and
 # 139 MB; 124999 branches of 39 leaves take 4.3-4.4 s and 104 MB.
 HEIGHT2_CAP = 5_000_000
+
+# Largest vertex count (1 + n + lambda n C) `reduce --with-partition`
+# builds. Measured on the same VM: at the cap, n = 1 (3 branches of about
+# 1.67 million leaves) takes 4.4-5.4 s and 168 MB peak RSS, and n = 5000
+# with lambda = 1 (15000 branches of 333 leaves) 5.6 s and 146 MB.
+REDUCE_TREE_CAP = 5_000_000
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
 
@@ -97,10 +106,18 @@ def _annotated_encoding(node: LabeledTree) -> str:
     return "".join(out)
 
 
+def _json(text: str):
+    """json.loads, with nesting too deep for the decoder as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _parse_poly_arg(text: str) -> Poly:
     s = text.strip()
     if s.startswith("["):
-        return Poly.from_pairs(json.loads(s))
+        return Poly.from_pairs(_json(s))
     return Poly.from_text(s)
 
 
@@ -185,7 +202,7 @@ def cmd_invert(args) -> int:
         poly = _parse_poly_arg(args.polynomial)
         if any(c < 0 for _, c in poly.items()):
             raise ValueError("polynomial must have nonnegative coefficients")
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError is one
         return _fail(f"bad polynomial: {exc}", 2)
     if args.budget < 0:
         return _fail("--budget must be >= 0", 2)
@@ -208,14 +225,25 @@ def cmd_invert(args) -> int:
 
 def _load_instance(path: str, lam_override: int | None):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _json(fh.read())
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object with n, C, a and optional lambda")
+    if not isinstance(data["a"], list):
+        raise ValueError(f"a must be a list of integers, got {data['a']!r:.40}")
     lam = lam_override if lam_override is not None else data.get("lambda")
     return inv.ThreePartitionInstance(
-        n=int(data["n"]),
-        C=int(data["C"]),
-        a=tuple(int(x) for x in data["a"]),
-        lam=int(lam) if lam is not None else None,
+        n=exact_int(data["n"]),
+        C=exact_int(data["C"]),
+        a=tuple(exact_int(x) for x in data["a"]),
+        lam=exact_int(lam) if lam is not None else None,
     )
+
+
+def _parse_partition(text: str) -> list[list[int]]:
+    groups = _json(text)
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise ValueError(f"expected a list of index lists, got {text!r:.40}")
+    return [[exact_int(i) for i in g] for g in groups]
 
 
 def cmd_reduce(args) -> int:
@@ -223,17 +251,22 @@ def cmd_reduce(args) -> int:
         inst = _load_instance(args.instance, args.lam)
     except OSError as exc:
         return _fail(f"cannot read {args.instance}: {exc}", 3)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:
         return _fail(f"bad instance file: {exc}", 2)
     try:
         poly = inv.reduction_poly(inst)
         tree = None
         if args.with_partition is not None:
-            partition = json.loads(args.with_partition)
+            partition = _parse_partition(args.with_partition)
+            vertices = 1 + inst.n + inst.lam * inst.n * inst.C
+            if vertices > REDUCE_TREE_CAP:
+                return _fail(
+                    f"a tree of {vertices} vertices exceeds the reduction tree cap {REDUCE_TREE_CAP}", 2
+                )
             tree = inv.build_reduction_tree(inst, partition)
     except (inv.InstanceValidationError, inv.PartitionError) as exc:
         return _fail(str(exc), 2)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         return _fail(f"bad partition: {exc}", 2)
     if args.format == "text":
         lines = [f"polynomial: {poly.to_text()}"]

@@ -277,12 +277,13 @@ def build_reduction_tree(inst: ThreePartitionInstance, solution) -> PlaneTree:
     validate_instance(inst)
     _validate_partition(inst, solution)
     lam = inst.lam
+    leaf = PlaneTree()  # trees are immutable, so every leaf is this one
     groups = []
     for triple in solution:
         branches = []
         for idx in sorted(triple, key=lambda i: (inst.a[i - 1], i)):
             w = lam * inst.a[idx - 1]
-            branches.append(PlaneTree(PlaneTree() for _ in range(w - 1)))
+            branches.append(PlaneTree([leaf] * (w - 1)))
         groups.append(PlaneTree(branches))
     tree = PlaneTree(groups)
     assert avalanche_poly(tree) == reduction_poly(inst)

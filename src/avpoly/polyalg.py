@@ -192,7 +192,26 @@ class Poly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Poly":
-        return cls((int(e), int(c)) for e, c in pairs)
+        """Inverse of to_pairs: a list of [exponent, coefficient] pairs,
+        each entry an int or a decimal string (see `exact_int`). Any
+        other shape or value raises ValueError."""
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError(f"expected a list of [exponent, coefficient] pairs, got {pairs!r:.40}")
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"expected an [exponent, coefficient] pair, got {pair!r:.40}")
+        return cls((exact_int(e), exact_int(c)) for e, c in pairs)
+
+
+def exact_int(value) -> int:
+    """`value` if it is an int, or the int a decimal string spells (the
+    form `Poly.to_pairs` writes coefficients in). Anything else, floats
+    and bools included, raises ValueError instead of being truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r:.40}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,20 @@ avalanche polynomials, and exhaustive enumeration.
 
 A tree is encoded as "(" + child encodings + ")", so the single vertex
 is "()" and a root with two leaf children is "(()())". Parsing,
-encoding, labeling and `avalanche_poly` are iterative, so deep path
-trees do not hit the recursion limit. `dyck_words` and
-`enumerate_trees` recurse to depth 2n; the enumeration in
-`distribution` stops at the fixed cap `DEFAULT_ENUM_CAP` = 13, so that
-depth is bounded by about 27 frames, far below the recursion limit.
+encoding, labeling, `avalanche_poly` and `enumerate_trees` are
+iterative, so deep path trees do not hit the recursion limit.
+`enumerate_trees` walks the Dyck words with an explicit stack and folds
+each tree up from its closed subtrees; the fold builds `PlaneTree`s by
+default, and `distribution` passes one that packs label polynomials.
+`dyck_words` recurses to depth 2n and stays as the plain, independent
+statement of the enumeration order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .polyalg import Poly, catalan
+from .polyalg import Poly
 
 __all__ = [
     "PlaneTree",
@@ -187,35 +189,54 @@ def dyck_words(n: int) -> Iterator[str]:
     return rec(n, 0)
 
 
-def enumerate_trees(n: int) -> Iterator[PlaneTree]:
+def _add_plane_child(kids: tuple, child: tuple) -> tuple:
+    return (*kids, PlaneTree(child))
+
+
+# The default fold of `enumerate_trees`: a vertex's closed children as a
+# tuple of PlaneTrees, each built once and shared by every later tree.
+_PLANE_FOLD = ((), _add_plane_child, PlaneTree)
+
+
+def enumerate_trees(n: int, fold=_PLANE_FOLD) -> Iterator:
     """Every plane tree with n edges exactly once, streamed in
     lexicographic order of its encoding; the total count is catalan(n).
 
-    Follows the recursion of `dyck_words` and builds each tree along the
-    way: a ')' closes a subtree, which is built once and shared by every
-    tree whose encoding continues past it. Only the right spine still
-    open at the end of a word is built per tree.
+    One loop walks the Dyck words of `dyck_words` with an explicit undo
+    stack, so the depth of a tree is not bounded by the recursion limit.
+    Each open vertex on the right spine holds a fold of its closed
+    children. `fold` is a triple (empty, add, finish): `empty` is the
+    fold of a vertex with no children yet, `add(acc, child)` returns
+    `acc` with the closed child's fold `child` appended, and the walk
+    yields `finish(root fold)` once per tree. A ')' closes a subtree
+    once, and every tree whose encoding continues past it shares the
+    result; only the spine still open at the end of a word is folded
+    per tree. The default fold yields `PlaneTree`s.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    # closed children of each vertex on the open spine, root first
-    spine: list[list[PlaneTree]] = [[]]
-
-    def rec(opens_left: int) -> Iterator[PlaneTree]:
-        if opens_left == 0:
-            node = PlaneTree(spine[-1])
-            for kids in reversed(spine[:-1]):
-                node = PlaneTree([*kids, node])
-            yield node
+    empty, add, finish = fold
+    # The open spine is a linked list (fold, parent) from the innermost
+    # vertex out to the root, so a choice point saves it in O(1).
+    v = (empty, None)
+    opens_left = n
+    stack = []  # choice points (spine, opens left) where ')' is still to try
+    while True:
+        while opens_left:  # '(' first: open a child of the innermost vertex
+            stack.append((v, opens_left))
+            v = (empty, v)
+            opens_left -= 1
+        acc, parent = v  # the word ends: close the open spine
+        while parent is not None:
+            up, parent = parent
+            acc = add(up, acc)
+        yield finish(acc)
+        while stack:  # then ')' at the latest choice point that allows one
+            v, opens_left = stack.pop()
+            acc, parent = v
+            if parent is not None:
+                up, parent = parent
+                v = (add(up, acc), parent)
+                break
+        else:
             return
-        spine.append([])
-        yield from rec(opens_left - 1)
-        spine.pop()
-        if len(spine) > 1:
-            kids = spine.pop()
-            spine[-1].append(PlaneTree(kids))
-            yield from rec(opens_left)
-            spine[-1].pop()
-            spine.append(kids)
-
-    yield from rec(n)

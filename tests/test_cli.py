@@ -11,7 +11,7 @@ import pytest
 import avpoly
 from avpoly import distribution as dist
 from avpoly import inverse as inv
-from avpoly.cli import HEIGHT2_CAP, MOMENTS_CAP, RECURRENCE_CAP, main
+from avpoly.cli import HEIGHT2_CAP, MOMENTS_CAP, RECURRENCE_CAP, REDUCE_TREE_CAP, main
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -368,6 +368,91 @@ def test_reduce_output_feeds_invert(capsys, tmp_path):
     code, out, _ = run(capsys, "invert", poly_json, "--general")
     assert code == 0
     assert out.strip().startswith("(")
+
+
+def test_reduce_tree_vertex_cap(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def stub(inst, partition):
+        calls.append(partition)
+        return avpoly.PlaneTree()
+
+    monkeypatch.setattr(inv, "build_reduction_tree", stub)
+    # n = 1 and lambda = 2: the tree has 2 + 2C vertices, the cap itself at C = big
+    big = (REDUCE_TREE_CAP - 2) // 2
+    assert 2 + 2 * big == REDUCE_TREE_CAP
+    path = write_instance(tmp_path, n=1, C=big + 1, a=[big // 3, big // 3, big + 1 - 2 * (big // 3)])
+    code, out, err = run(capsys, "reduce", path, "--lambda", "2", "--with-partition", "[[1, 2, 3]]")
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    assert len(err.splitlines()) == 1
+    assert calls == []
+    # without a partition no tree is built, so the cap does not apply
+    assert run(capsys, "reduce", path)[0] == 0
+    path = write_instance(tmp_path, n=1, C=big, a=[big // 3, big // 3, big - 2 * (big // 3)])
+    code, out, _ = run(capsys, "reduce", path, "--lambda", "2", "--with-partition", "[[1, 2, 3]]")
+    assert (code, json.loads(out)["tree"]) == (0, "()")
+    assert calls == [[[1, 2, 3]]]
+
+
+# Malformed JSON, or a number that is not an integer, exits 2 with one
+# stderr line; before, these ended in a traceback or were truncated.
+
+
+@pytest.mark.parametrize(
+    "polynomial",
+    ["[1]", "[[1, null]]", "[[1,[2]]]", "[[1.5, 2]]", "[[1, 2.0]]", "[[1, true]]",
+     '["12"]', "[[1, 2, 3]]", "[[-1, 2]]", '[[1, "x"]]', "[" * 100_000],
+)
+def test_invert_rejects_malformed_json(capsys, polynomial):
+    code, out, err = run(capsys, "invert", polynomial, "--general")
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad polynomial: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 1, "C": 26, "a": null}',
+        '{"n": 1, "C": 26, "a": "7910"}',
+        '[1, 26, [7, 9, 10]]',
+        '{"n": 1.9, "C": 26, "a": [7, 9, 10]}',
+        '{"n": 1, "C": 26.0, "a": [7, 9, 10]}',
+        '{"n": 1, "C": 26, "a": [7, 9.5, 10]}',
+        '{"n": 1, "C": 26, "a": [7, 9, 10], "lambda": 4.5}',
+        '{"n": true, "C": 26, "a": [7, 9, 10]}',
+        '{"C": 26, "a": [7, 9, 10]}',
+        "[" * 100_000,
+    ],
+)
+def test_reduce_rejects_malformed_instance(capsys, tmp_path, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "reduce", str(path), "--with-partition", "[[1, 2, 3]]")
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad instance file: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "partition",
+    ["[1]", '[[1, 2, "x"]]', "[[1, 2, 3.0]]", "[[1, 2, null]]", "{}", '"[[1, 2, 3]]"', "[" * 100_000],
+)
+def test_reduce_rejects_malformed_partition(capsys, tmp_path, partition):
+    path = write_instance(tmp_path, n=1, C=26, a=[7, 9, 10])
+    code, out, err = run(capsys, "reduce", path, "--with-partition", partition)
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad partition: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_json_input_accepts_decimal_strings(capsys, tmp_path):
+    # the coefficient form `reduce` prints, also taken for instance values
+    path = write_instance(tmp_path, n="1", C=26, a=[7, "9", 10])
+    code, out, _ = run(capsys, "reduce", path, "--with-partition", '[[1, "2", 3]]')
+    assert code == 0
+    assert json.loads(out)["tree"].count("(") == 106
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from avpoly.distribution import (
     verify_functional_equation,
 )
 from avpoly.polyalg import Poly, catalan
+from avpoly.tree import avalanche_poly, enumerate_trees
 
 A1 = Poly([(1, 1)])
 A2 = Poly([(1, 2), (2, 1), (3, 1)])
@@ -68,6 +69,15 @@ def test_cross_equivalence_small():
         a = distribution_by_enumeration(n).poly
         assert a == distribution_by_recurrence(n).poly
         assert a == distribution_by_closed_form(n).poly
+
+
+def test_packed_enumeration_matches_summed_tree_polys():
+    # test-local oracle: the polynomial of every enumerated PlaneTree, summed
+    for n in range(10):
+        total = Poly()
+        for t in enumerate_trees(n):
+            total = total + avalanche_poly(t)
+        assert distribution_by_enumeration(n).poly == total
 
 
 def test_enumeration_cap_refusal():

@@ -372,6 +372,14 @@ def test_build_reduction_tree():
     assert leaf_counts == [27, 35, 39]
 
 
+def test_reduction_tree_shares_one_leaf():
+    inst = ThreePartitionInstance(n=2, C=12, a=(4, 4, 4, 4, 4, 4), lam=7)
+    tree = build_reduction_tree(inst, [[1, 3, 5], [2, 4, 6]])
+    leaves = [leaf for group in tree.children for branch in group.children for leaf in branch.children]
+    assert len(leaves) == 6 * (7 * 4 - 1)
+    assert len({id(leaf) for leaf in leaves}) == 1
+
+
 def test_build_rejects_bad_partition():
     with pytest.raises(PartitionError):
         build_reduction_tree(INST, [[1, 2]])

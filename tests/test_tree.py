@@ -235,6 +235,20 @@ def test_enumeration_streams_lazily():
     assert first.encode() == "(" * 31 + ")" * 31
 
 
+def test_enumeration_of_a_deep_path_does_not_recurse():
+    # the walk keeps its choice points on a stack, not on the call stack
+    first = next(enumerate_trees(2000))
+    assert first.size == 2001
+    assert first.encode() == "(" * 2001 + ")" * 2001
+
+
+def test_enumeration_with_an_encoding_fold_follows_dyck_words():
+    # a fold of strings, not trees: each vertex collects its children's encodings
+    fold = ("", lambda acc, child: f"{acc}({child})", lambda acc: f"({acc})")
+    for n in range(10):
+        assert list(enumerate_trees(n, fold)) == ["(" + w + ")" for w in dyck_words(n)]
+
+
 # ---------------------------------------------------------------------------
 #  Root-subtree counting identity
 # ---------------------------------------------------------------------------
