@@ -50,16 +50,17 @@ RECURRENCE_CAP = 200
 MOMENTS_CAP = 3575
 
 # Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
-# Measured on the same VM: at the cap the costliest shape found, 2499999
-# root children with one leaf each (2499999*q^2 + 2499999*q^3), takes
-# 6.6-6.7 s and 226 MB peak RSS; the star 4999999*q takes 3.8-4.4 s and
-# 139 MB; 124999 branches of 39 leaves take 4.3-4.4 s and 104 MB.
+# Measured on the same VM: at the cap the costliest shape found, the star
+# 4999999*q, takes 1.4-1.6 s and 91 MB peak RSS; one branch of each size
+# 2..3161 takes 1.2-1.4 s and 93 MB; 2499999 root children with one leaf
+# each (2499999*q^2 + 2499999*q^3) 0.7-0.9 s and 53 MB; 124999 branches
+# of 39 leaves 0.2 s and 36 MB.
 HEIGHT2_CAP = 5_000_000
 
 # Largest vertex count (1 + n + lambda n C) `reduce --with-partition`
 # builds. Measured on the same VM: at the cap, n = 1 (3 branches of about
-# 1.67 million leaves) takes 4.4-5.4 s and 168 MB peak RSS, and n = 5000
-# with lambda = 1 (15000 branches of 333 leaves) 5.6 s and 146 MB.
+# 1.67 million leaves) takes 1.2-1.5 s and 91 MB peak RSS, and n = 5000
+# with lambda = 1 (15000 branches of 333 leaves) 1.5-1.7 s and 92 MB.
 REDUCE_TREE_CAP = 5_000_000
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}

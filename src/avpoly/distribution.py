@@ -117,10 +117,9 @@ def distribution_by_enumeration(n: int) -> DistributionRecord:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > DEFAULT_ENUM_CAP:
-        raise EnumerationCapExceeded(
-            f"n={n} exceeds the enumeration cap {DEFAULT_ENUM_CAP} "
-            f"(catalan({n}) = {catalan(n)} trees)"
-        )
+        # refuse before computing anything: C_n alone takes seconds and
+        # gigabytes for n in the hundreds of thousands
+        raise EnumerationCapExceeded(f"n={n} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     width = (n * catalan(n)).bit_length() // 8 + 1  # as in `recurrence_polys`
     w = 8 * width
 
@@ -377,12 +376,13 @@ def verify_functional_equation(order: int) -> bool:
 
 def normalized_curve(n: int) -> list[CurvePoint]:
     """Points (i/n, p_i/C_n), one per nonzero coefficient, x ascending;
-    y = 1 at i = 1 since p_1 = C_n."""
+    y = 1 at i = 1 since p_1 = C_n. Int true division rounds the exact
+    quotient correctly, as float(Fraction(p_i, C_n)) does."""
     if n < 1:
         raise ValueError("n must be >= 1")
     poly = distribution_by_recurrence(n).poly
     cn = catalan(n)
-    return [CurvePoint(i / n, float(Fraction(c, cn))) for i, c in poly.terms()]
+    return [CurvePoint(i / n, c / cn) for i, c in poly.terms()]
 
 
 def format_float(v: float, precision: int) -> str:

@@ -161,7 +161,10 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
         raise ValueError("polynomial must have nonnegative coefficients")
     if avail.get(0):
         return InverseResult("no_tree")
-    labels = [*sorted(avail), float("inf")]  # the sentinel ends every scan
+    labels = [*sorted(avail), float("inf")]
+    # unplaced count of each label, by its index in `labels`; the sentinel
+    # counts 1, so a scan for a label still unplaced always stops
+    left = [*map(avail.get, labels[:-1]), 1]
     attempts = 0
     found: list[str] = []
 
@@ -173,21 +176,20 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     # point shares what it saved with the states that follow it.
     v = (0, sum(avail.values()), (), None, None, -1)
     i = 0  # index in `labels` of the next label to try for v's next child
-    stack = []  # choice points: (open vertex, next label index, label placed)
+    stack = []  # choice points: (open vertex, index of the label placed)
     while True:
         lbl, room, lo_key, kids, parent, idx = v
         if room:
-            last = lbl + room
-            while labels[i] <= last and not avail[labels[i]]:
+            while not left[i]:
                 i += 1
-            if labels[i] <= last:
+            child = labels[i]
+            if child <= lbl + room:
                 if attempts >= budget:
                     status = "budget_exhausted"
                     break
                 attempts += 1
-                child = labels[i]
-                avail[child] -= 1
-                stack.append((v, i + 1, child))
+                left[i] -= 1
+                stack.append((v, i))
                 if child == lbl + 1:  # a leaf closes at once; lo_key is () or its own key
                     v = (lbl, room - 1, (1, "()"), ("()", kids), parent, idx)
                 else:
@@ -215,8 +217,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
         if not stack:
             status = "found" if found else "no_tree"
             break
-        v, i, child = stack.pop()
-        avail[child] += 1
+        v, i = stack.pop()
+        left[i] += 1
+        i += 1
 
     solutions = [parse_tree(enc) for enc in sorted(found)]
     for tree in solutions:

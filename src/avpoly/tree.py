@@ -5,6 +5,10 @@ A tree is encoded as "(" + child encodings + ")", so the single vertex
 is "()" and a root with two leaf children is "(()())". Parsing,
 encoding, labeling, `avalanche_poly` and `enumerate_trees` are
 iterative, so deep path trees do not hit the recursion limit.
+Trees are immutable, so code that builds one may use one object for many
+children, as the inverse solvers do. `encode` and `avalanche_poly` treat
+a run of consecutive children that are one object as one unit: the
+subtree is walked once, and each further copy costs one step.
 `enumerate_trees` walks the Dyck words with an explicit stack and folds
 each tree up from its closed subtrees; the fold builds `PlaneTree`s by
 default, and `distribution` passes one that packs label polynomials.
@@ -55,12 +59,26 @@ class PlaneTree:
         return self.size - 1
 
     def encode(self) -> str:
-        out = []
-        stack: list = [self]
+        """The parenthesis encoding. A run of r consecutive children that
+        are one object is encoded once and the string repeated r times,
+        so only one copy of a shared subtree is walked. The walk is
+        iterative; encoding a run's child recurses, but runs nest at most
+        log2(size) deep, since each level at least doubles the vertex
+        count."""
+        out = ["("]
+        # None stands for ")"; the root's stays at the bottom, so every
+        # popped vertex has its parent's None or a later sibling below it
+        stack: list = [None, *reversed(self.children)]
         while stack:
             node = stack.pop()
             if node is None:
                 out.append(")")
+            elif stack[-1] is node:  # a run: pop the other copies, repeat one
+                r = 1
+                while stack[-1] is node:
+                    stack.pop()
+                    r += 1
+                out.append(node.encode() * r)
             else:
                 out.append("(")
                 stack.append(None)
@@ -153,17 +171,31 @@ def label_tree(t: PlaneTree) -> LabeledTree:
 def avalanche_poly(t: PlaneTree) -> Poly:
     """Coefficient of q^i counts the non-root vertices labeled i.
 
-    Only children that have children of their own are pushed, so a wide
-    fan of leaves costs no stack entries."""
+    A stack entry (node, mu, w) stands for w copies of a vertex labeled
+    mu. A run of r consecutive children that are one object c adds w*r
+    vertices labeled mu + |c|, and c is walked once, as w*r copies, so
+    only one copy of a shared subtree is walked. Leaves are counted but
+    not pushed."""
     counts: dict[int, int] = {}
-    stack = [(t, 0)]
+    stack = [(t, 0, 1)]
     while stack:
-        node, mu = stack.pop()
+        node, mu, w = stack.pop()
+        prev, r = None, 0
         for child in node.children:
-            lbl = mu + child.size
-            counts[lbl] = counts.get(lbl, 0) + 1
-            if child.children:
-                stack.append((child, lbl))
+            if child is prev:
+                r += 1
+                continue
+            if r:  # the run of prev ends
+                lbl = mu + prev.size
+                counts[lbl] = counts.get(lbl, 0) + w * r
+                if prev.children:
+                    stack.append((prev, lbl, w * r))
+            prev, r = child, 1
+        if r:  # the last run ends with the loop; a sentinel would copy the tuple
+            lbl = mu + prev.size
+            counts[lbl] = counts.get(lbl, 0) + w * r
+            if prev.children:
+                stack.append((prev, lbl, w * r))
     return Poly(counts)
 
 

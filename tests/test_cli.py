@@ -90,6 +90,20 @@ def test_dist_enum_cap(capsys, monkeypatch):
     assert "enumeration cap 13" in err
 
 
+def test_dist_enum_cap_refuses_before_counting_trees(capsys, monkeypatch):
+    catalan = dist.catalan
+
+    def guarded(k):
+        if k > dist.DEFAULT_ENUM_CAP:
+            raise AssertionError(f"catalan({k}) computed above the enumeration cap")
+        return catalan(k)
+
+    monkeypatch.setattr(dist, "catalan", guarded)
+    code, out, err = run(capsys, "dist", "--n", "200000", "--method", "enum")
+    assert (code, out) == (2, "")
+    assert "exceeds the enumeration cap 13" in err
+
+
 def test_dist_closed_rejects_zero(capsys):
     code, _, _ = run(capsys, "dist", "--n", "0", "--method", "closed")
     assert code == 2
@@ -234,6 +248,12 @@ def test_invert_height2_found(capsys):
     code, out, _ = run(capsys, "invert", "q^3 + 2*q^4", "--height2")
     assert code == 0
     assert out.strip() == "((()()))"
+
+
+@pytest.mark.parametrize("k", [1, 2, 1000])
+def test_invert_height2_prints_every_copy_of_a_shared_branch(capsys, k):
+    code, out, _ = run(capsys, "invert", f"{k}*q^2 + {k}*q^3", "--height2")
+    assert (code, out) == (0, "(" + "(())" * k + ")\n")
 
 
 def test_invert_height2_no(capsys):

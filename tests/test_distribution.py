@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avpoly import distribution
 from avpoly.distribution import (
     CurvePoint,
     DistributionRecord,
@@ -394,6 +395,20 @@ def test_curve_first_point_is_peak():
         assert all(p.y <= 1.0 for p in pts)
         assert all(p1.x < p2.x for p1, p2 in zip(pts, pts[1:]))
         assert pts[-1].x == (n + 1) / 2
+
+
+def test_curve_points_equal_the_exact_quotient_rounded(monkeypatch):
+    # y = p_i / C_n by int true division must equal the correctly rounded
+    # Fraction at every point; one table serves every n to keep this fast
+    table = recurrence_polys(100)
+    monkeypatch.setattr(
+        distribution, "distribution_by_recurrence",
+        lambda n: DistributionRecord(n, table[n], "recurrence"),
+    )
+    for n in range(1, 101):
+        cn = catalan(n)
+        expected = [(i / n, float(Fraction(c, cn))) for i, c in table[n].terms()]
+        assert [(p.x, p.y) for p in normalized_curve(n)] == expected, n
 
 
 def test_curve_csv_lines():

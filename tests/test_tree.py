@@ -90,6 +90,66 @@ def test_deep_path_does_not_recurse():
     assert label_tree(t).preorder_labels()[-1] == 4999 * 5000 // 2
 
 
+def test_path_of_1e5_edges_encodes_without_recursion():
+    t = path_tree(10**5 + 1)
+    assert t.encode() == "(" * (10**5 + 1) + ")" * (10**5 + 1)
+    assert avalanche_poly(t).moment(0) == 10**5
+
+
+# ---------------------------------------------------------------------------
+#  Shared subtrees: runs of one child object
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree built as a DAG: each new node takes runs of 1-4 copies of
+    nodes already in the pool, so subtrees are shared within and across
+    vertices."""
+    pool = [PlaneTree()]
+    for _ in range(draw(st.integers(1, 8))):
+        kids = []
+        for _ in range(draw(st.integers(0, 4))):
+            kids += [draw(st.sampled_from(pool))] * draw(st.integers(1, 4))
+        node = PlaneTree(kids)
+        if node.size <= 2000:
+            pool.append(node)
+    return pool[-1]
+
+
+def recursive_encoding(t):
+    return "(" + "".join(recursive_encoding(c) for c in t.children) + ")"
+
+
+def labels_off_encoding(text):
+    """{label: count} of the non-root vertices, read off the string alone:
+    a vertex's label is its parent's plus its own subtree size."""
+    size, opens = {}, []
+    for j, ch in enumerate(text):
+        if ch == "(":
+            opens.append(j)
+        else:
+            i = opens.pop()
+            size[i] = (j - i + 1) // 2
+    counts, labels = {}, []
+    for j, ch in enumerate(text):
+        if ch == ")":
+            labels.pop()
+            continue
+        label = labels[-1] + size[j] if labels else 0
+        if labels:
+            counts[label] = counts.get(label, 0) + 1
+        labels.append(label)
+    return counts
+
+
+@given(shared_trees())
+def test_shared_tree_encoding_and_polynomial(t):
+    text = t.encode()
+    assert text == recursive_encoding(t)
+    assert avalanche_poly(t) == Poly(labels_off_encoding(text))
+
+
 # ---------------------------------------------------------------------------
 #  Labeling
 # ---------------------------------------------------------------------------
