@@ -39,9 +39,10 @@ from .polyalg import Poly, exact_int
 from .tree import LabeledTree, TreeParseError, label_tree, parse_tree
 
 # Largest size the recurrence and closed-form commands accept. Measured on
-# a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 7.0 s and 115 MB
-# peak RSS, `dist --n --method closed` 13-15 s and 110 MB, and
-# `checkfe --order` 12.9 s and 423 MB; cost grows faster than n^4.
+# a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 6.2-7.4 s and
+# 90 MB peak RSS, `curve --n` 5.9-6.2 s and 90 MB, `dist --n --method
+# closed` 12-15 s and 109 MB, and `checkfe --order` 9.5-11.5 s and 189 MB;
+# cost grows faster than n^4.
 RECURRENCE_CAP = 200
 
 # Largest size `moments` accepts: one more and the exact variance has over
@@ -51,7 +52,7 @@ MOMENTS_CAP = 3575
 
 # Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
 # Measured on the same VM: at the cap the costliest shape found, the star
-# 4999999*q, takes 1.4-1.6 s and 91 MB peak RSS; one branch of each size
+# 4999999*q, takes 1.1-1.4 s and 91 MB peak RSS; one branch of each size
 # 2..3161 takes 1.2-1.4 s and 93 MB; 2499999 root children with one leaf
 # each (2499999*q^2 + 2499999*q^3) 0.7-0.9 s and 53 MB; 124999 branches
 # of 39 leaves 0.2 s and 36 MB.
@@ -59,8 +60,8 @@ HEIGHT2_CAP = 5_000_000
 
 # Largest vertex count (1 + n + lambda n C) `reduce --with-partition`
 # builds. Measured on the same VM: at the cap, n = 1 (3 branches of about
-# 1.67 million leaves) takes 1.2-1.5 s and 91 MB peak RSS, and n = 5000
-# with lambda = 1 (15000 branches of 333 leaves) 1.5-1.7 s and 92 MB.
+# 1.67 million leaves) takes 1.2-1.3 s and 82 MB peak RSS, and n = 5000
+# with lambda = 1 (15000 branches of 332-333 vertices) 1.1-1.3 s and 92 MB.
 REDUCE_TREE_CAP = 5_000_000
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}

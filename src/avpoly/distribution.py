@@ -19,10 +19,16 @@ overflows into the next one:
 * The recurrence table for sizes up to n uses W >= bitlen(n C_n) + 1.
   Its coefficients are nonnegative and every one of them, and every
   partial sum of one, is at most n C_n, so no carry crosses a field.
-* The series check packs the polynomials it is given, which may have
-  any signs and sizes, with W one bit wider than a bound on every field
-  of the difference it tests. A packed int with fields of absolute value
-  below 2^(W-1) is zero only if every field is, so the test is exact.
+  Row k is stored shifted, as q^(k+1) (C_k + A_k), the form in which
+  every later row uses it, so each row is shifted once.
+* The series check compares two packed sides. Polynomials it is given,
+  which may have any signs and sizes, are packed with W one bit wider
+  than a bound on every field of the difference: a packed int with
+  fields of absolute value below 2^(W-1) is zero only if every field is,
+  so the test is exact. By default it reads the table's rows instead,
+  moved to fields that start at q^1, at the table's W or wider if that
+  cannot hold order C_order; why no bound on the rows' fields is needed
+  there is in `functional_equation_mismatch`.
 * The enumeration folds each tree's own polynomial up from its subtrees,
   P_T = sum over the root's children c of q^|c| (1 + P_c), with the
   recurrence's W for size n. Field e of P_T counts the non-root
@@ -38,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .polyalg import Poly, catalan
 from .tree import enumerate_trees
@@ -129,40 +135,40 @@ def distribution_by_enumeration(n: int) -> DistributionRecord:
 
     # each tree's fold is (vertex count, packed P_T); see the module docstring
     total = sum(enumerate_trees(n, ((1, 0), add, itemgetter(1))))
-    return DistributionRecord(n, _unpack(total, width), "enumeration")
+    return DistributionRecord(n, _unpack(total, width, 1), "enumeration")
 
 
 def _recurrence_rows(n: int) -> tuple[int, list[int]]:
-    """Field width W/8 and the packed rows (format in `recurrence_polys`)
-    for sizes 0..n. Since C(t)(1 - t C(t)) = 1, the series identity
+    """Field width W/8 and the packed rows D_0..D_n (format in
+    `recurrence_polys`). Since C(t)(1 - t C(t)) = 1, the series identity
     reduces to the single sum
 
-        A_m = q sum_{k<m} C_{m-k} q^k (C_k + A_k),
+        A_m = q sum_{k<m} C_{m-k} q^k (C_k + A_k) = sum_{k<m} C_{m-k} D_k,
 
-    one small-by-big multiply, shift and add per k.
+    one small-by-big multiply and add per k; the finished row
+    C_m + A_m is shifted once, into D_m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     cat = [catalan(k) for k in range(n + 1)]
     width = (n * cat[n]).bit_length() // 8 + 1
     w = 8 * width
-    rows = [1]
+    rows = [1 << w]
     for m in range(1, n + 1):
-        acc = cat[m]
-        for k in range(m):
-            acc += (cat[m - k] * rows[k]) << (w * (k + 1))
-        rows.append(acc)
+        # cat[m:0:-1] pairs C_{m-k} with D_k for k = 0..m-1
+        rows.append(sum(map(mul, cat[m:0:-1], rows), cat[m]) << (w * (m + 1)))
     return width, rows
 
 
-def _unpack(row: int, width: int) -> Poly:
-    """A_k from packed row k: one `to_bytes`, one slice per field, field 0
-    (C_k) skipped."""
+def _unpack(row: int, width: int, skip: int) -> Poly:
+    """The polynomial whose q^e coefficient is field e + skip - 1 of `row`:
+    one `to_bytes`, one slice per field, the low `skip` fields dropped.
+    For recurrence row k, skip = k + 2 drops the empty fields and C_k."""
     fields = -(-row.bit_length() // (8 * width))
     data = row.to_bytes(fields * width, "little")
     return Poly(
-        (e, int.from_bytes(data[e * width:(e + 1) * width], "little"))
-        for e in range(1, fields)
+        (e - skip + 1, int.from_bytes(data[e * width:(e + 1) * width], "little"))
+        for e in range(skip, fields)
     )
 
 
@@ -173,20 +179,23 @@ def recurrence_polys(n: int) -> list[Poly]:
     every size up to n; a caller that needs many sizes calls
     `recurrence_polys(N)` once for the largest N, not once per size.
 
-    Row k is the int sum_e B_k[e] 2^(W e) with B_k = C_k + A_k: A_k has no
-    constant term, so field 0 holds C_k and fields 1.. hold A_k. W is a
-    multiple of 8 and at least bitlen(n C_n) + 1. Fields are nonnegative,
-    and each of them, like every partial sum the recurrence forms in it,
-    is at most n C_n: no carry crosses a field.
+    Row k is D_k = q^(k+1) B_k packed, the int sum_e B_k[e] 2^(W (e+k+1))
+    with B_k = C_k + A_k: A_k has no constant term, so fields 0..k are
+    empty, field k+1 holds C_k and fields k+2.. hold A_k. It is stored
+    shifted because every later row adds C_{m-k} D_k. W is a multiple of
+    8 and at least bitlen(n C_n) + 1. Fields are nonnegative, and each of
+    them, like every partial sum the recurrence forms in it, is at most
+    n C_n: no carry crosses a field. `functional_equation_mismatch` reads
+    the same rows without unpacking them.
     """
     width, rows = _recurrence_rows(n)
-    return [_unpack(rows[k], width) for k in range(n + 1)]
+    return [_unpack(rows[k], width, k + 2) for k in range(n + 1)]
 
 
 def distribution_by_recurrence(n: int) -> DistributionRecord:
     """The size-n polynomial from the packed table; unpacks row n only."""
     width, rows = _recurrence_rows(n)
-    return DistributionRecord(n, _unpack(rows[n], width), "recurrence")
+    return DistributionRecord(n, _unpack(rows[n], width, n + 2), "recurrence")
 
 
 def _closed_form_coefficients(n: int) -> list[int]:
@@ -329,6 +338,21 @@ def _pack(poly: Poly, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _restride(row: int, width: int, new_width: int, skip: int) -> int:
+    """The fields of `row` >= 0 (`width` bytes each) from field `skip` on,
+    moved to fields 1, 2, ... of `new_width` >= `width` bytes: the
+    exponents `_unpack` gives them. At a new width, one strided byte-slice
+    copy per byte of a field, all in C."""
+    if new_width == width:
+        return (row >> (8 * width * skip)) << (8 * width)
+    fields = max(-(-row.bit_length() // (8 * width)), skip)
+    data = row.to_bytes(fields * width, "little")
+    out = bytearray((fields - skip + 1) * new_width)
+    for b in range(width):
+        out[new_width + b::new_width] = data[skip * width + b::width]
+    return int.from_bytes(out, "little")
+
+
 def functional_equation_mismatch(order: int, polys=None) -> int | None:
     """First t-order where the radical-free series identity
 
@@ -340,24 +364,42 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
     Order p of the identity, with the A-term moved right, reads
     A_p = sum_{j<p} C_{p-1-j} (q^(j+1) (C_j + A_j) + A_j): the three-part
     sum, not the single sum the recurrence is built from. Both sides are
-    compared as packed ints whose width comes from the absolute
-    coefficient sums of `polys`, so the test is exact for any input."""
+    compared as packed ints, so that the test is exact for any input:
+
+    * `polys` are packed at a width that comes from their absolute
+      coefficient sums, which bounds every field of both sides.
+    * By default the A_k are read from the recurrence table's packed
+      rows with no polynomial built: each row is moved to fields that
+      start at q^1 (`_restride`) and released. Fields are W bits wide,
+      W the table's width or wider if 2^W <= order C_order, so the rows'
+      fields are nonnegative and below 2^W. At the first order p whose
+      row is not the true A_p, every earlier row is, so the right side
+      is the true A_p packed, with fields at most p C_p < 2^W; two packed
+      ints with all fields in [0, 2^W) are equal only if every field is.
+      So the check finds p with no bound on the table's fields. The
+      table's width alone would not do: a table too narrow for its
+      coefficients, whose rows are the true A_k evaluated at q = 2^W
+      with carries, satisfies the identity at q = 2^W."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if polys is None:
-        polys = recurrence_polys(order)
-    polys = polys[: order + 1]
-    if len(polys) != order + 1:
-        raise ValueError(f"order {order} needs {order + 1} polynomials, got {len(polys)}")
     cat = [catalan(k) for k in range(order + 1)]
-    mass = [sum(abs(c) for _, c in poly.items()) for poly in polys]
-    bound = max(
-        mass[p] + sum(cat[p - 1 - j] * (cat[j] + 2 * mass[j]) for j in range(p))
-        for p in range(order + 1)
-    )
-    width = bound.bit_length() // 8 + 1
+    if polys is None:
+        table_width, a = _recurrence_rows(order)
+        width = max(table_width, (order * cat[order]).bit_length() // 8 + 1)
+        for k in range(order + 1):
+            a[k] = _restride(a[k], table_width, width, k + 2)
+    else:
+        polys = polys[: order + 1]
+        if len(polys) != order + 1:
+            raise ValueError(f"order {order} needs {order + 1} polynomials, got {len(polys)}")
+        mass = [sum(abs(c) for _, c in poly.items()) for poly in polys]
+        bound = max(
+            mass[p] + sum(cat[p - 1 - j] * (cat[j] + 2 * mass[j]) for j in range(p))
+            for p in range(order + 1)
+        )
+        width = bound.bit_length() // 8 + 1
+        a = [_pack(poly, width) for poly in polys]
     w = 8 * width
-    a = [_pack(poly, width) for poly in polys]
     terms = [((cat[j] + a[j]) << (w * (j + 1))) + a[j] for j in range(order)]
     for p in range(order + 1):
         if a[p] != sum(cat[p - 1 - j] * terms[j] for j in range(p)):

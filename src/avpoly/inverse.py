@@ -12,6 +12,7 @@ instances whose polynomials force a unique solution tree shape.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat
 
 from .polyalg import Poly
 from .tree import PlaneTree, avalanche_poly, label_tree, parse_tree
@@ -115,9 +116,11 @@ def solve_height2(poly: Poly) -> InverseResult:
     if counts.get(0):
         return InverseResult("no_tree")  # no non-root vertex can be labeled 0
 
-    # trees are immutable, so one leaf and one branch per size j are shared
+    # trees are immutable, so one leaf and one branch per size j are shared;
+    # the root's children are built from (branch, count) runs, so no list
+    # of every child lives beside the root's tuple
     leaf = PlaneTree()
-    children: list[PlaneTree] = []
+    runs = []
     for j in sorted(counts):
         c = counts[j]
         if c <= 0:
@@ -127,10 +130,10 @@ def solve_height2(poly: Poly) -> InverseResult:
             if counts.get(j + 1, 0) < need:
                 return InverseResult("no_tree")
             counts[j + 1] -= need
-        children.extend([PlaneTree([leaf] * (j - 1))] * c)
+        runs.append((PlaneTree(repeat(leaf, j - 1)), c))
         counts[j] = 0
 
-    tree = PlaneTree(children)
+    tree = PlaneTree(chain.from_iterable(repeat(b, c) for b, c in runs))
     assert avalanche_poly(tree) == poly
     return InverseResult("found", [tree])
 
@@ -286,7 +289,7 @@ def build_reduction_tree(inst: ThreePartitionInstance, solution) -> PlaneTree:
         branches = []
         for idx in sorted(triple, key=lambda i: (inst.a[i - 1], i)):
             w = lam * inst.a[idx - 1]
-            branches.append(PlaneTree([leaf] * (w - 1)))
+            branches.append(PlaneTree(repeat(leaf, w - 1)))
         groups.append(PlaneTree(branches))
     tree = PlaneTree(groups)
     assert avalanche_poly(tree) == reduction_poly(inst)

@@ -367,6 +367,70 @@ def test_functional_equation_detects_carry_aliased_corruption():
         assert functional_equation_mismatch(8, polys) == 3, w
 
 
+def test_packed_series_check_matches_the_polynomial_override():
+    # re-strided table rows, at the table's width and wider, must equal the
+    # polynomials packed at that width, and both check paths must agree
+    polys = recurrence_polys(40)
+    for k in range(1, 41):
+        width, rows = distribution._recurrence_rows(k)
+        for new_width in (width, width + 3):
+            assert [distribution._restride(row, width, new_width, j + 2) for j, row in enumerate(rows)] == [
+                distribution._pack(poly, new_width) for poly in polys[: k + 1]
+            ], (k, new_width)
+        assert functional_equation_mismatch(k) == functional_equation_mismatch(k, polys) is None
+
+
+def _add_one(row, w, pos):
+    return row + (1 << pos)
+
+
+def _set_all_ones(row, w, pos):
+    field = (row >> pos) & ((1 << w) - 1)
+    return row + ((((1 << w) - 1) - field) << pos)
+
+
+def _move_one_up(row, w, pos):
+    # keeps the row's coefficient sum: the identity at q = 1 still holds
+    assert (row >> pos) & ((1 << w) - 1) >= 1
+    return row - (1 << pos) + (1 << (pos + w))
+
+
+@pytest.mark.parametrize("corrupt", [_add_one, _set_all_ones, _move_one_up])
+@pytest.mark.parametrize("row, e", [(1, 1), (5, 1), (5, 15), (12, 40), (12, 78), (16, 136)])
+def test_packed_series_check_detects_a_corrupted_table_row(monkeypatch, corrupt, row, e):
+    # corrupt [q^e] A_row in the packed table the default path reads
+    real = distribution._recurrence_rows
+
+    def corrupted(n):
+        width, rows = real(n)
+        w = 8 * width
+        rows[row] = corrupt(rows[row], w, w * (row + 1 + e))  # D_k holds A_k[e] in field k+1+e
+        return width, rows
+
+    monkeypatch.setattr(distribution, "_recurrence_rows", corrupted)
+    width, rows = corrupted(16)
+    unpacked = [distribution._unpack(r, width, k + 2) for k, r in enumerate(rows)]
+    assert functional_equation_mismatch(16, unpacked) == row
+    assert functional_equation_mismatch(16) == row
+
+
+def test_packed_series_check_reads_coefficients_not_the_packed_value(monkeypatch):
+    # a table with one-byte fields whose rows hold each true A_k evaluated
+    # at q = 2^8, carries included, and the low byte of C_k: the identity
+    # holds at q = 2^8, so a check run at the table's own width passes,
+    # but from k = 7 (C_7 = 429) coefficients above 255 have carried into
+    # the next field, and the re-strided rows show it
+    polys = recurrence_polys(16)
+    rows = [
+        (catalan(k) % 256 + sum(c << (8 * e) for e, c in poly.items())) << (8 * (k + 1))
+        for k, poly in enumerate(polys)
+    ]
+    first_bad = next(k for k, row in enumerate(rows) if distribution._unpack(row, 1, k + 2) != polys[k])
+    assert first_bad == 7
+    monkeypatch.setattr(distribution, "_recurrence_rows", lambda n: (1, rows[: n + 1]))
+    assert functional_equation_mismatch(16) == 7
+
+
 def test_functional_equation_rejects_short_override():
     with pytest.raises(ValueError):
         functional_equation_mismatch(8, recurrence_polys(5))
