@@ -21,9 +21,10 @@ RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP, and exits 2
 as well when a lowered int-to-str limit cannot print its fractions;
 `invert --height2` refuses polynomials whose tree would have more than
 HEIGHT2_CAP vertices, and `reduce --with-partition` above REDUCE_TREE_CAP;
-`invert --budget` must be >= 0. JSON input must have the documented
-shape, with integers (or the decimal strings `reduce` prints) where
-numbers go; anything else exits 2.
+`curve --precision` must lie in 1..PRECISION_CAP, and `invert --budget`
+must be >= 0. JSON input must have the documented shape, with integers
+(or the decimal strings `reduce` prints) where numbers go; anything
+else exits 2.
 """
 
 from __future__ import annotations
@@ -51,18 +52,21 @@ RECURRENCE_CAP = 200
 MOMENTS_CAP = 3575
 
 # Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
-# Measured on the same VM: at the cap the costliest shape found, the star
-# 4999999*q, takes 1.1-1.4 s and 91 MB peak RSS; one branch of each size
-# 2..3161 takes 1.2-1.4 s and 93 MB; 2499999 root children with one leaf
-# each (2499999*q^2 + 2499999*q^3) 0.7-0.9 s and 53 MB; 124999 branches
-# of 39 leaves 0.2 s and 36 MB.
+# Measured on the same VM: at the cap the costliest shapes found, one
+# branch of each size 2..3161 and the star 4999999*q, take 0.8-1.0 s and
+# 74 MB peak RSS; 2499999 root children with one leaf each (2499999*q^2 +
+# 2499999*q^3) 0.5-0.6 s and 53 MB; 124999 branches of 39 leaves 0.15 s
+# and 35 MB.
 HEIGHT2_CAP = 5_000_000
 
 # Largest vertex count (1 + n + lambda n C) `reduce --with-partition`
 # builds. Measured on the same VM: at the cap, n = 1 (3 branches of about
-# 1.67 million leaves) takes 1.2-1.3 s and 82 MB peak RSS, and n = 5000
-# with lambda = 1 (15000 branches of 332-333 vertices) 1.1-1.3 s and 92 MB.
+# 1.67 million leaves) takes 0.7-0.8 s and 82 MB peak RSS, and n = 5000
+# with lambda = 1 (15000 branches of 332-333 vertices) 1.3-1.4 s and 92 MB.
 REDUCE_TREE_CAP = 5_000_000
+
+# Largest `curve --precision`: float formatting takes a C int precision.
+PRECISION_CAP = 2**31 - 1
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
 
@@ -195,6 +199,8 @@ def cmd_curve(args) -> int:
         return _fail(f"--n exceeds the recurrence cap {RECURRENCE_CAP}", 2)
     if args.precision < 1:
         return _fail("--precision must be >= 1", 2)
+    if args.precision > PRECISION_CAP:
+        return _fail(f"--precision exceeds {PRECISION_CAP}", 2)
     points = dist.normalized_curve(args.n)
     return _emit("\n".join(dist.curve_csv_lines(points, args.precision)), args.out)
 

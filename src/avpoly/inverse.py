@@ -4,7 +4,11 @@
 at most 2. `solve_general` is an exhaustive budgeted backtracking search
 over canonical trees (children sorted by subtree size, then encoding);
 it is iterative, one loop over an explicit stack of choice points, runs
-on parenthesis encodings and builds trees only for solutions.
+on parenthesis encodings and builds trees only for solutions. A vertex's
+leaves come first among its children, so the search places them as one
+run, a single step and a single choice point however many leaves it
+holds, and undoes a run's leaves together; it still counts, and visits
+in the same order, one placement per leaf.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
@@ -158,6 +162,21 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     solutions when the search space closes; `budget_exhausted` reports
     any trees found before the cutoff. `attempts` counts the placements
     made.
+
+    Leaves are placed in runs. A leaf is the smallest child, so a
+    vertex's leaves come first, and a vertex labeled mu places a leaf
+    (label mu+1) as long as one is left and it has room: k = min(leaves
+    left, room) of them in a row, each one placement. The search places
+    such a run in one step and counts k attempts; when fewer than k
+    remain in the budget it stops where placing them one by one would
+    have stopped, with `attempts == budget`. Undoing the run's last m
+    leaves frees m slots of room for the next unplaced label after the
+    leaf's, which is the only alternative tried in those slots: slots
+    where it does not fit are undone together, without a placement, and
+    the undo stops at the last slot where it fits. So the search
+    visits the same placements in the same order as one that places
+    and undoes every leaf on its own, and `attempts`, the budget cutoff
+    and the solutions are the same.
     """
     avail = dict(poly.items())
     if any(c < 0 for c in avail.values()):
@@ -168,18 +187,26 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     # unplaced count of each label, by its index in `labels`; the sentinel
     # counts 1, so a scan for a label still unplaced always stops
     left = [*map(avail.get, labels[:-1]), 1]
-    attempts = 0
+    total = sum(avail.values())
+    budget = max(budget, 0)
+    spare = budget  # placements left in the budget
     found: list[str] = []
 
     # The open vertex is a tuple (label, room left for descendants, key of
-    # its last closed child, encodings of its closed children, parent,
-    # index of its label in `labels`). The children form a linked list
-    # (enc, rest), last child first; before the first child the key is (),
-    # which is below every key. Vertices are immutable, so every choice
+    # its last closed child that is not a leaf, encodings of those
+    # children, parent, index of its label in `labels`). The children form
+    # a linked list (enc, rest), last child first; before the first one
+    # the key is (), which is below every key. Leaves are not stored: they
+    # come first, and a closing vertex's leaves are the vertices its other
+    # children leave of its size. Vertices are immutable, so every choice
     # point shares what it saved with the states that follow it.
-    v = (0, sum(avail.values()), (), None, None, -1)
+    v = (0, total, (), None, None, -1)
     i = 0  # index in `labels` of the next label to try for v's next child
-    stack = []  # choice points: (open vertex, index of the label placed)
+    # choice points: (open vertex, index of the label placed), or for a run
+    # of k leaves (open vertex before the run, -k); the leaf label lbl + 1
+    # directly follows lbl in `labels`, so its index is the vertex's + 1
+    stack = []
+    push, pop = stack.append, stack.pop
     while True:
         lbl, room, lo_key, kids, parent, idx = v
         if room:
@@ -187,47 +214,86 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                 i += 1
             child = labels[i]
             if child <= lbl + room:
-                if attempts >= budget:
+                if child == lbl + 1:  # a run of leaves
+                    k = left[i]
+                    if k > room:
+                        k = room
+                    if k > spare:
+                        spare = 0
+                        status = "budget_exhausted"
+                        break
+                    spare -= k
+                    left[i] -= k
+                    push((v, -k))
+                    v = (lbl, room - k, lo_key, kids, parent, idx)
+                    continue
+                if not spare:
                     status = "budget_exhausted"
                     break
-                attempts += 1
+                spare -= 1
                 left[i] -= 1
-                stack.append((v, i))
-                if child == lbl + 1:  # a leaf closes at once; lo_key is () or its own key
-                    v = (lbl, room - 1, (1, "()"), ("()", kids), parent, idx)
-                else:
-                    v = (child, child - lbl - 1, (), None, v, i)
-                    i += 1
+                push((v, i))
+                v = (child, child - lbl - 1, (), None, v, i)
+                i += 1
                 continue
         else:
-            parts = []
-            while kids:
-                enc, kids = kids
-                parts.append(enc)
-            enc = "(" + "".join(reversed(parts)) + ")"
+            if kids is None:
+                body = ""
+            else:
+                parts = []
+                while kids:
+                    enc, kids = kids
+                    parts.append(enc)
+                body = "".join(reversed(parts))
             if parent is None:
-                found.append(enc)
+                found.append(f"({'()' * (total - len(body) // 2)}{body})")
             else:
                 # close the full vertex into its parent, whose scan for a
                 # next child starts at this vertex's label
                 mu, room, lo_key, kids, grand, pidx = parent
-                key = (lbl - mu, enc)
+                size = lbl - mu
+                key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
                 if key >= lo_key:
-                    v = (mu, room - key[0], key, (enc, kids), grand, pidx)
+                    v = (mu, room - size, key, (key[1], kids), grand, pidx)
                     i = idx
                     continue
-        # a dead end or a solution: undo the last placement
-        if not stack:
+        # a dead end or a solution: undo back to the last alternative
+        while stack:
+            v, i = pop()
+            if i >= 0:
+                left[i] += 1
+                i += 1
+                break
+            # a run of k leaves in slots 1..k of v. Label j, the first one
+            # left after the leaf's, fits in slot s when labels[j] <= lbl +
+            # room - s + 1: undo the leaves from the last such slot on in
+            # one step and place label j there, or the whole run if none
+            lbl, room, lo_key, kids, parent, idx = v
+            k = -i
+            i = idx + 1
+            j = i + 1
+            while not left[j]:
+                j += 1
+            s = lbl + room + 1 - labels[j]
+            if s < 1:
+                left[i] += k
+                continue
+            if s > k:
+                s = k
+            left[i] += k - s + 1
+            if s > 1:  # leaves 1..s-1 stay, as a shorter run
+                push((v, 1 - s))
+                v = (lbl, room - s + 1, lo_key, kids, parent, idx)
+            i = j
+            break
+        else:
             status = "found" if found else "no_tree"
             break
-        v, i = stack.pop()
-        left[i] += 1
-        i += 1
 
     solutions = [parse_tree(enc) for enc in sorted(found)]
     for tree in solutions:
         assert avalanche_poly(tree) == poly
-    return InverseResult(status, solutions, attempts)
+    return InverseResult(status, solutions, budget - spare)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ iterative, so deep path trees do not hit the recursion limit.
 Trees are immutable, so code that builds one may use one object for many
 children, as the inverse solvers do. `encode` and `avalanche_poly` treat
 a run of consecutive children that are one object as one unit: the
-subtree is walked once, and each further copy costs one step.
+subtree is walked once, and each further copy costs one step (in
+`encode`, a step of C iterators).
 `enumerate_trees` walks the Dyck words with an explicit stack and folds
 each tree up from its closed subtrees; the fold builds `PlaneTree`s by
 default, and `distribution` passes one that packs label polynomials.
@@ -19,6 +20,8 @@ statement of the enumeration order.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain, islice, repeat
+from operator import indexOf, is_not
 
 from .polyalg import Poly
 
@@ -62,28 +65,36 @@ class PlaneTree:
         """The parenthesis encoding. A run of r consecutive children that
         are one object is encoded once and the string repeated r times,
         so only one copy of a shared subtree is walked. The walk is
-        iterative; encoding a run's child recurses, but runs nest at most
-        log2(size) deep, since each level at least doubles the vertex
-        count."""
+        iterative and reads each vertex's children in place, by index, so
+        it copies no children tuple and visits a run's further copies
+        only to count them. Encoding a run's child recurses, but runs
+        nest at most log2(size) deep, since each level at least doubles
+        the vertex count."""
         out = ["("]
-        # None stands for ")"; the root's stays at the bottom, so every
-        # popped vertex has its parent's None or a later sibling below it
-        stack: list = [None, *reversed(self.children)]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                out.append(")")
-            elif stack[-1] is node:  # a run: pop the other copies, repeat one
-                r = 1
-                while stack[-1] is node:
-                    stack.pop()
-                    r += 1
-                out.append(node.encode() * r)
+        kids, j = self.children, 0  # the open vertex's children, next index
+        stack = []  # (children, next index) of the open vertices above it
+        while True:
+            if j < len(kids):
+                node = kids[j]
+                j += 1
+                if j < len(kids) and kids[j] is node:  # a run: repeat one copy
+                    # the index of the first child after the run, found by
+                    # C iterators rather than a loop step per copy
+                    others = map(is_not, islice(kids, j, None), repeat(node))
+                    end = j + indexOf(chain(others, (True,)), True)
+                    out.append(node.encode() * (end - j + 1))
+                    j = end
+                elif node.children:
+                    out.append("(")
+                    stack.append((kids, j))
+                    kids, j = node.children, 0
+                else:
+                    out.append("()")
             else:
-                out.append("(")
-                stack.append(None)
-                stack.extend(reversed(node.children))
-        return "".join(out)
+                out.append(")")
+                if not stack:
+                    return "".join(out)
+                kids, j = stack.pop()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PlaneTree) and self.encode() == other.encode()

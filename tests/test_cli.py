@@ -1,5 +1,7 @@
 """CLI surface: outputs, exit codes, round-trips, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import avpoly
 from avpoly import distribution as dist
 from avpoly import inverse as inv
-from avpoly.cli import HEIGHT2_CAP, MOMENTS_CAP, RECURRENCE_CAP, REDUCE_TREE_CAP, main
+from avpoly.cli import (
+    HEIGHT2_CAP, MOMENTS_CAP, PRECISION_CAP, RECURRENCE_CAP, REDUCE_TREE_CAP, main,
+)
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -222,6 +227,18 @@ def test_curve_precision_flag(capsys):
     code, out, _ = run(capsys, "curve", "--n", "3", "--precision", "3")
     assert code == 0
     assert out.splitlines()[1] == "0.333,1.0"
+
+
+def test_curve_precision_cap(capsys):
+    # float formatting takes a C int precision; one more used to end in a
+    # traceback (exit 1)
+    code, out, _ = run(capsys, "curve", "--n", "3", "--precision", str(PRECISION_CAP))
+    assert code == 0
+    assert out.splitlines()[1] == f"{1 / 3:.{PRECISION_CAP}g},1.0"
+    for precision in (PRECISION_CAP + 1, 10**20):
+        code, out, err = run(capsys, "curve", "--n", "3", "--precision", str(precision))
+        assert (code, out) == (2, "")
+        assert err == f"avpoly: error: --precision exceeds {PRECISION_CAP}\n"
 
 
 def test_curve_n60_peak_row(capsys):
@@ -534,3 +551,72 @@ def test_closed_stdout_exits_3_without_a_traceback():
     assert proc.returncode == 3
     assert "Traceback" not in err and "Exception ignored" not in err
     assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+#  argv fuzz
+# ---------------------------------------------------------------------------
+
+# Sizes are either small or far above every cap, so each run is quick.
+NUMBERS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "5", "9", "2147483647", "2147483648", "10" * 12, "1e3", "x"]
+)
+POLYS = st.sampled_from(
+    ["q", "3*q", "q^2 + q^3", "2*q + q^2", "q^0", "-q", "q^", "[[1, 2]]", "[[1]]",
+     "[", "5000*q", "q^3 + q^4 + 4*q^5 + q^6", "2*q^5 + 4*q^6 + 2*q^7 + 2*q^8"]
+)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory):
+    """A missing path and files holding a valid instance, an invalid one
+    and malformed JSON; module-scoped, as hypothesis reruns the test."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = ['{"n": 1, "C": 26, "a": [7, 9, 10]}', '{"n": 1, "C": 26, "a": [7, 9, 11]}',
+             '{"n": 2, "C": 12, "a": [4, 4, 4, 4, 4, 4]}', "[", "{}"]
+    paths = [str(root / "missing.json")]
+    for k, text in enumerate(texts):
+        path = root / f"inst{k}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+def argvs(paths):
+    n = NUMBERS.map(lambda v: ["--n", v])
+    fmt = _flag("--format", st.sampled_from(["json", "text", "csv"]))
+    return st.one_of(
+        _argv("label", st.text("()x", max_size=8).map(lambda t: [t])),
+        _argv("dist", n, _flag("--method", st.sampled_from(["enum", "rec", "closed", "x"])), fmt),
+        _argv("moments", n, fmt),
+        _argv("curve", n, _flag("--precision", NUMBERS)),
+        _argv("invert", POLYS.map(lambda p: [p]),
+              st.sampled_from([["--general"], ["--height2"], [], ["--general", "--height2"]]),
+              _flag("--budget", NUMBERS)),
+        _argv("reduce", st.sampled_from(paths).map(lambda p: [p]), _flag("--lambda", NUMBERS),
+              _flag("--with-partition", st.sampled_from(["[[1, 2, 3]]", "[[1, 2]]", "[[1, 3, 5], [2, 4, 6]]", "x"])),
+              fmt),
+        _argv("checkfe", _flag("--order", NUMBERS)),
+        st.lists(st.sampled_from(["", "x", "--n", "1", "-h"]), max_size=3),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_a_documented_exit_code(instance_files, data):
+    argv = data.draw(argvs(instance_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv, or prints help
+            code = exc.code
+    assert code in range(5), (argv, code, err.getvalue())

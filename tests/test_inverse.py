@@ -1,9 +1,10 @@
 """Inverse problem: height-2 greedy, general search, 3-partition reduction."""
 
 import tracemalloc
+from itertools import count
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from avpoly.inverse import (
     ExtractionError,
@@ -294,6 +295,85 @@ def test_general_matches_tree_building_reference_at_every_budget(text):
             break
         assert r.attempts == budget
     assert r.attempts == budget  # the smallest budget the reference completes in
+
+
+def assert_matches_reference_at_every_budget(poly: Poly):
+    """solve_general agrees with the reference on status, trees and
+    attempts at every budget from 0 up to the one the reference completes
+    in."""
+    for budget in count():
+        expected = reference_solve_general(poly, budget)
+        r = solve_general(poly, budget)
+        assert (r.status, [t.encode() for t in r.trees]) == expected
+        assert r.attempts == budget
+        if expected[0] != "budget_exhausted":
+            return
+
+
+def tree_from_parents(parents) -> PlaneTree:
+    """The plane tree in which vertex v (1-based) is the last child of
+    parents[v - 1] < v so far."""
+    kids = [[] for _ in range(len(parents) + 1)]
+    for v, p in enumerate(parents, start=1):
+        kids[p].append(v)
+    built = [None] * len(kids)
+    for v in reversed(range(len(kids))):  # children have larger numbers
+        built[v] = PlaneTree(built[c] for c in kids[v])
+    return built[0]
+
+
+def moved_up(poly: Poly) -> Poly:
+    """One unit of the top coefficient moved one exponent up."""
+    pairs = dict(poly.items())
+    top = max(pairs)
+    pairs[top] -= 1
+    pairs[top + 1] = 1
+    return Poly(pairs)
+
+
+small_trees = st.integers(0, 9).flatmap(
+    lambda n: st.tuples(*(st.integers(0, v - 1) for v in range(1, n + 1)))
+).map(tree_from_parents)
+tree_polys = small_trees.map(avalanche_poly)
+
+
+def fan_poly(leaves, sizes):
+    """Root leaves next to root children of subtree size s, each a fan of
+    s - 1 leaves: the shape of the reduction's branches."""
+    return Poly([(1, leaves)] + [(s, 1) for s in sizes] + [(s + 1, s - 1) for s in sizes])
+
+
+fan_polys = st.builds(fan_poly, st.integers(0, 6), st.lists(st.integers(2, 8), max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tree_polys, tree_polys.filter(bool).map(moved_up), fan_polys))
+def test_general_matches_reference_on_generated_polys(poly):
+    assert_matches_reference_at_every_budget(poly)
+
+
+def test_general_undoes_part_of_a_run_of_leaves():
+    # Under the vertex labeled 4 (room 3) the search places a run of three
+    # leaves labeled 5. The child labeled 6 has subtree size 2 and fits
+    # only from slot 2 on, so leaves 2 and 3 are undone in one step while
+    # leaf 1 stays. That is a dead end: the one solution keeps all three.
+    poly = Poly.from_text("q^3 + q^4 + 4*q^5 + q^6")
+    assert_matches_reference_at_every_budget(poly)
+    assert [t.encode() for t in solve_general(poly).trees] == ["(((()))(()()()))"]
+
+
+def test_general_places_a_run_of_leaves_in_one_step():
+    # 5*10^7 leaves under the root are one run, more than the budget: the
+    # search stops before placing it, at the count placing leaves one by
+    # one would stop at, and holds no state per leaf
+    tracemalloc.start()
+    try:
+        r = solve_general(Poly.from_text("50000000*q"), budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.trees, r.attempts) == ("budget_exhausted", [], 10**6)
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------

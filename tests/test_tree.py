@@ -1,6 +1,8 @@
 """Plane trees: encoding, labeling, avalanche polynomials, enumeration."""
 
 import inspect
+import tracemalloc
+from itertools import repeat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +101,21 @@ def test_path_of_1e5_edges_encodes_without_recursion():
 # ---------------------------------------------------------------------------
 #  Shared subtrees: runs of one child object
 # ---------------------------------------------------------------------------
+
+
+def test_encode_reads_a_run_in_place():
+    # a star of 10^6 copies of one leaf: the encoding and its one repeated
+    # piece take about 2 MB each; a copy of the root's children would add 8 MB
+    star = PlaneTree(repeat(PlaneTree(), 10**6))
+    tracemalloc.start()
+    try:
+        text = star.encode()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "(" + "()" * 10**6 + ")"
+    assert peak < 6 * 10**6
+
 
 
 @st.composite
