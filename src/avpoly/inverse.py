@@ -8,13 +8,16 @@ on parenthesis encodings and builds trees only for solutions. A vertex's
 leaves come first among its children, so the search places them as one
 run, a single step and a single choice point however many leaves it
 holds, and undoes a run's leaves together; it still counts, and visits
-in the same order, one placement per leaf.
+in the same order, one placement per leaf. It remembers the sub-searches
+of vertices that failed, and a repeat of one is charged the placements
+recorded for it instead of being searched again.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, repeat
 
@@ -177,6 +180,25 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     visits the same placements in the same order as one that places
     and undoes every leaf on its own, and `attempts`, the budget cutoff
     and the solutions are the same.
+
+    Failed sub-searches are remembered. A non-leaf child labeled L with
+    room r can place only labels in the window (L, L + r(r+1)/2], the
+    most a chain of r descendants adds; labels beyond it are only ever
+    rejected, all alike, by every vertex inside. So the placements made
+    below the child, up to the point where it closes, depend only on the
+    key (L, r, counts left of the labels in the window). When the child
+    is undone without ever having closed, the search records the
+    placements made below it under that key. A later open with an equal
+    key counts its own placement, is charged the recorded number, and
+    goes on to the next label without descending; if fewer placements
+    are left in the budget it stops with `attempts == budget`, where the
+    search below would have stopped. A child that closed even once is
+    not recorded, since whether its parent then accepts it depends on
+    the parent's earlier children. So `attempts`, the budget cutoff and
+    the solutions are those of the search without the record. The record
+    holds at most one entry per failed open, and a failure is left out
+    when its window would take the counts held past the placements made
+    so far, so the budget bounds the record as it bounds the search.
     """
     avail = dict(poly.items())
     if any(c < 0 for c in avail.values()):
@@ -207,6 +229,16 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     # directly follows lbl in `labels`, so its index is the vertex's + 1
     stack = []
     push, pop = stack.append, stack.pop
+    # Failed sub-searches of a child labeled labels[i] with room r:
+    # failed[i][r] is (end, placements by window), where the window is
+    # tuple(left[i + 1:end]), the counts left of the labels in
+    # (labels[i], labels[i] + r(r+1)/2], which hold every label the child
+    # can place
+    failed = [{} for _ in labels]
+    held = 0  # counts in the windows of `failed`
+    # (parent state, placements left after the open) for each open
+    # non-leaf vertex that has not closed, innermost last, over a sentinel
+    frames = [(None, 0)]
     while True:
         lbl, room, lo_key, kids, parent, idx = v
         if room:
@@ -231,9 +263,23 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                     status = "budget_exhausted"
                     break
                 spare -= 1
+                r = child - lbl - 1
+                seen = failed[i].get(r)
+                if seen is not None:
+                    end, by_window = seen
+                    n = by_window.get(tuple(left[i + 1:end]))
+                    if n is not None:  # a repeat: charge it, and skip it
+                        if n > spare:
+                            spare = 0
+                            status = "budget_exhausted"
+                            break
+                        spare -= n
+                        i += 1
+                        continue
                 left[i] -= 1
                 push((v, i))
-                v = (child, child - lbl - 1, (), None, v, i)
+                frames.append((v, spare))
+                v = (child, r, (), None, v, i)
                 i += 1
                 continue
         else:
@@ -249,7 +295,10 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                 found.append(f"({'()' * (total - len(body) // 2)}{body})")
             else:
                 # close the full vertex into its parent, whose scan for a
-                # next child starts at this vertex's label
+                # next child starts at this vertex's label; a vertex that
+                # closes is never recorded as failed
+                if frames[-1][0] is parent:
+                    frames.pop()
                 mu, room, lo_key, kids, grand, pidx = parent
                 size = lbl - mu
                 key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
@@ -261,6 +310,16 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
         while stack:
             v, i = pop()
             if i >= 0:
+                if frames[-1][0] is v:  # its vertex never closed
+                    n = frames.pop()[1] - spare
+                    r = labels[i] - v[0] - 1
+                    end = bisect_right(labels, labels[i] + r * (r + 1) // 2, i + 1)
+                    # the record holds no more counts than placements made
+                    if held + end - i - 1 <= budget - spare:
+                        held += end - i - 1
+                        # `left` is back as it was at the open
+                        window = tuple(left[i + 1:end])
+                        failed[i].setdefault(r, (end, {}))[1][window] = n
                 left[i] += 1
                 i += 1
                 break

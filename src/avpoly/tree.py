@@ -6,10 +6,11 @@ is "()" and a root with two leaf children is "(()())". Parsing,
 encoding, labeling, `avalanche_poly` and `enumerate_trees` are
 iterative, so deep path trees do not hit the recursion limit.
 Trees are immutable, so code that builds one may use one object for many
-children, as the inverse solvers do. `encode` and `avalanche_poly` treat
-a run of consecutive children that are one object as one unit: the
-subtree is walked once, and each further copy costs one step (in
-`encode`, a step of C iterators).
+children, as the inverse solvers and `parse_tree` (for every leaf) do.
+`encode` and `avalanche_poly` treat a run of consecutive children that
+are one object as one unit: the subtree is walked once, and each further
+copy costs one step (in `encode`, a step of C iterators, for runs of
+three or more).
 `enumerate_trees` walks the Dyck words with an explicit stack and folds
 each tree up from its closed subtrees; the fold builds `PlaneTree`s by
 default, and `distribution` passes one that packs label polynomials.
@@ -62,13 +63,13 @@ class PlaneTree:
         return self.size - 1
 
     def encode(self) -> str:
-        """The parenthesis encoding. A run of r consecutive children that
-        are one object is encoded once and the string repeated r times,
-        so only one copy of a shared subtree is walked. The walk is
+        """The parenthesis encoding. A run of r >= 3 consecutive children
+        that are one object is encoded once and the string repeated r
+        times, so only one copy of a shared subtree is walked. The walk is
         iterative and reads each vertex's children in place, by index, so
         it copies no children tuple and visits a run's further copies
         only to count them. Encoding a run's child recurses, but runs
-        nest at most log2(size) deep, since each level at least doubles
+        nest at most log3(size) deep, since each level at least triples
         the vertex count."""
         out = ["("]
         kids, j = self.children, 0  # the open vertex's children, next index
@@ -77,12 +78,15 @@ class PlaneTree:
             if j < len(kids):
                 node = kids[j]
                 j += 1
-                if j < len(kids) and kids[j] is node:  # a run: repeat one copy
-                    # the index of the first child after the run, found by
-                    # C iterators rather than a loop step per copy
+                if j + 1 < len(kids) and kids[j] is node and kids[j + 1] is node:
+                    # a run of three or more: repeat one copy. The index of
+                    # the first child after it is found by C iterators
+                    # rather than a loop step per copy; their set-up costs
+                    # more than a run of two walked twice
                     others = map(is_not, islice(kids, j, None), repeat(node))
                     end = j + indexOf(chain(others, (True,)), True)
-                    out.append(node.encode() * (end - j + 1))
+                    enc = node.encode() if node.children else "()"
+                    out.append(enc * (end - j + 1))
                     j = end
                 elif node.children:
                     out.append("(")
@@ -106,30 +110,38 @@ class PlaneTree:
         return f"PlaneTree({self.encode()!r})"
 
 
+_LEAF = PlaneTree()
+
+
 def parse_tree(text: str) -> PlaneTree:
-    """Parse the parenthesis encoding; inverse of PlaneTree.encode()."""
+    """Parse the parenthesis encoding; inverse of PlaneTree.encode().
+    Every leaf of the result is one shared object."""
     if not text:
         raise TreeParseError("empty encoding", 0)
-    stack: list[list[PlaneTree]] = []
-    root = None
+    # the open vertex's children: None outside the root, () before the
+    # first one, so opening a vertex allocates nothing until it has a child
+    kids = None
+    stack = []  # the children of the open vertices above it
     for i, ch in enumerate(text):
-        if root is not None:
-            raise TreeParseError("trailing characters after tree", i)
         if ch == "(":
-            stack.append([])
+            stack.append(kids)
+            kids = ()
         elif ch == ")":
-            if not stack:
+            if kids is None:
                 raise TreeParseError("unbalanced ')'", i)
-            node = PlaneTree(stack.pop())
-            if stack:
-                stack[-1].append(node)
+            node = PlaneTree(kids) if kids else _LEAF
+            kids = stack.pop()
+            if kids:
+                kids.append(node)
+            elif kids is None:
+                if i + 1 < len(text):
+                    raise TreeParseError("trailing characters after tree", i + 1)
+                return node
             else:
-                root = node
+                kids = [node]
         else:
             raise TreeParseError(f"unexpected character {ch!r}", i)
-    if root is None:
-        raise TreeParseError("unbalanced '(': tree never closes", len(text))
-    return root
+    raise TreeParseError("unbalanced '(': tree never closes", len(text))
 
 
 class LabeledTree:

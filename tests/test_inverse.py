@@ -268,7 +268,11 @@ def reference_solve_general(poly: Poly, budget: int):
 # first three below are the smallest that do (10 and 11 edges). The next
 # two have no tree: each is a tree's polynomial with one unit of its top
 # coefficient moved one exponent up. The last two are the deepest and the
-# widest tree with 6 edges, the path and the fan.
+# widest tree with 6 edges, the path and the fan. The search meets
+# sub-searches it has seen fail before, and is charged for them, in all
+# but those two; in the last of the list, 121 placements with no tree,
+# 72 of them are charged in 17 skips of up to 29, so many budgets end
+# inside a skip.
 ORACLE_POLYS = [
     "2*q^5 + 4*q^6 + 2*q^7 + 2*q^8",
     "q^4 + 2*q^7 + 6*q^8 + q^9 + q^10",
@@ -279,6 +283,7 @@ ORACLE_POLYS = [
     "2*q + q^6 + q^7 + 2*q^8 + q^9 + q^10",
     "q^6 + q^11 + q^15 + q^18 + q^20 + q^21",
     "6*q",
+    "q^11 + 2*q^12 + q^19 + 3*q^20 + 2*q^21 + q^22 + q^23",
 ]
 
 
@@ -360,6 +365,55 @@ def test_general_undoes_part_of_a_run_of_leaves():
     poly = Poly.from_text("q^3 + q^4 + 4*q^5 + q^6")
     assert_matches_reference_at_every_budget(poly)
     assert [t.encode() for t in solve_general(poly).trees] == ["(((()))(()()()))"]
+
+
+@pytest.mark.parametrize(
+    "text,attempts",
+    [
+        # random trees with one unit of the top coefficient moved up,
+        # of 37 and 50 edges
+        (
+            "q^37 + q^73 + q^75 + q^76 + q^106 + q^138 + q^139 + q^168"
+            " + 2*q^169 + q^195 + q^196 + q^199 + q^200 + q^201 + q^202"
+            " + q^216 + 2*q^217 + q^218 + 2*q^219 + q^221 + q^222 + q^229"
+            " + q^230 + q^234 + 2*q^235 + q^236 + q^237 + 2*q^238 + q^239"
+            " + q^242 + q^243 + q^244",
+            633511,
+        ),
+        (
+            "3*q + q^2 + q^3 + q^45 + q^89 + q^90 + q^131 + q^132 + q^134"
+            " + q^136 + q^137 + q^168 + 2*q^169 + q^170 + 2*q^171 + q^173"
+            " + q^174 + q^197 + q^225 + q^252 + 6*q^253 + q^255 + 4*q^256"
+            " + 4*q^257 + q^258 + q^259 + q^261 + 2*q^262 + q^267 + q^268"
+            " + q^271 + q^274 + q^275 + q^276",
+            7868535,
+        ),
+    ],
+    ids=["37-edges", "50-edges"],
+)
+def test_general_charges_repeats_of_failed_sub_searches(text, attempts):
+    # the pinned counts are those of the search that descends into every
+    # repeat; charging repeats keeps them while skipping the work
+    r = solve_general(Poly.from_text(text))
+    assert (r.status, r.trees, r.attempts) == ("no_tree", [], attempts)
+    cut = solve_general(Poly.from_text(text), budget=attempts - 1)
+    assert (cut.status, cut.attempts) == ("budget_exhausted", attempts - 1)
+
+
+def test_general_record_of_failed_sub_searches_is_bounded_by_placements():
+    # the path of 2000 edges with its deepest label moved up: each vertex on
+    # the way back up fails, and its window holds every label below it, so
+    # a record of every failure would hold 2 * 10^6 counts for 1999
+    # placements
+    path = avalanche_poly(parse_tree("(" * 2001 + ")" * 2001))
+    tracemalloc.start()
+    try:
+        r = solve_general(moved_up(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.attempts) == ("no_tree", 1999)
+    assert peak < 3 * 10**6
 
 
 def test_general_places_a_run_of_leaves_in_one_step():

@@ -117,6 +117,28 @@ def test_encode_reads_a_run_in_place():
     assert peak < 6 * 10**6
 
 
+def test_parse_shares_one_leaf():
+    # every "()" parses to one leaf object: the star of 10^6 leaves holds
+    # its children's tuple and the list it is built from, about 8 MB each;
+    # a new leaf per "()" took the peak to 64 MB
+    text = "(" + "()" * 10**6 + ")"
+    tracemalloc.start()
+    try:
+        star = parse_tree(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert star.size == 10**6 + 1
+    assert star.children[0] is star.children[-1]
+    assert peak < 20 * 10**6
+    leaves, stack = set(), [parse_tree(FIG1)]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if not node.children:
+            leaves.add(id(node))
+    assert len(leaves) == 1
+
 
 @st.composite
 def shared_trees(draw):
@@ -165,6 +187,9 @@ def test_shared_tree_encoding_and_polynomial(t):
     text = t.encode()
     assert text == recursive_encoding(t)
     assert avalanche_poly(t) == Poly(labels_off_encoding(text))
+    parsed = parse_tree(text)  # its leaves form runs of their own
+    assert parsed.encode() == text
+    assert avalanche_poly(parsed) == avalanche_poly(t)
 
 
 # ---------------------------------------------------------------------------
