@@ -59,8 +59,9 @@ MOMENTS_CAP = 3575
 # and 35 MB.
 HEIGHT2_CAP = 5_000_000
 
-# Largest vertex count (1 + n + lambda n C) `reduce --with-partition`
-# builds. Measured on the same VM: at the cap, n = 1 (3 branches of about
+# Largest vertex count `reduce --with-partition` builds; a tree has one
+# vertex more than its polynomial's coefficient sum, here 1 + n + lambda n C.
+# Measured on the same VM: at the cap, n = 1 (3 branches of about
 # 1.67 million leaves) takes 0.7-0.8 s and 82 MB peak RSS, and n = 5000
 # with lambda = 1 (15000 branches of 332-333 vertices) 1.3-1.4 s and 92 MB.
 REDUCE_TREE_CAP = 5_000_000
@@ -159,7 +160,7 @@ def cmd_dist(args) -> int:
             record = dist.distribution_by_recurrence(n)
         else:
             record = dist.distribution_by_closed_form(n)
-    except (dist.EnumerationCapExceeded, ValueError) as exc:
+    except ValueError as exc:  # EnumerationCapExceeded is one
         return _fail(str(exc), 2)
     if args.format == "text":
         text = f"A_{record.n} ({record.method}) = {record.poly.to_text()}"
@@ -266,7 +267,7 @@ def cmd_reduce(args) -> int:
         tree = None
         if args.with_partition is not None:
             partition = _parse_partition(args.with_partition)
-            vertices = 1 + inst.n + inst.lam * inst.n * inst.C
+            vertices = 1 + poly.moment()
             if vertices > REDUCE_TREE_CAP:
                 return _fail(
                     f"a tree of {vertices} vertices exceeds the reduction tree cap {REDUCE_TREE_CAP}", 2

@@ -76,7 +76,6 @@ DEFAULT_ENUM_CAP = 13
 
 # Fixed high-precision constants for ratio rendering.
 SQRT_PI = Decimal("1.77245385090551602729816748334114518279754945612238712821381")
-PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 _RATIO_PRECISION = 50
 
@@ -115,6 +114,12 @@ CurvePoint = namedtuple("CurvePoint", "x y")
 # ---------------------------------------------------------------------------
 
 
+def _field_bytes(n: int) -> int:
+    """Bytes per packed field for sizes up to n: the least multiple of 8
+    bits that is at least bitlen(n C_n) + 1 (see the module docstring)."""
+    return (n * catalan(n)).bit_length() // 8 + 1
+
+
 def distribution_by_enumeration(n: int) -> DistributionRecord:
     """Sum the avalanche polynomial over every tree with n edges, each
     labeled by its subtree sizes as `enumerate_trees` builds it, packed
@@ -126,7 +131,7 @@ def distribution_by_enumeration(n: int) -> DistributionRecord:
         # refuse before computing anything: C_n alone takes seconds and
         # gigabytes for n in the hundreds of thousands
         raise EnumerationCapExceeded(f"n={n} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
-    width = (n * catalan(n)).bit_length() // 8 + 1  # as in `recurrence_polys`
+    width = _field_bytes(n)
     w = 8 * width
 
     def add(acc, child):  # a closed child c adds q^|c| (1 + P_c)
@@ -151,7 +156,7 @@ def _recurrence_rows(n: int) -> tuple[int, list[int]]:
     if n < 0:
         raise ValueError("n must be >= 0")
     cat = [catalan(k) for k in range(n + 1)]
-    width = (n * cat[n]).bit_length() // 8 + 1
+    width = _field_bytes(n)
     w = 8 * width
     rows = [1 << w]
     for m in range(1, n + 1):
@@ -385,7 +390,7 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
     cat = [catalan(k) for k in range(order + 1)]
     if polys is None:
         table_width, a = _recurrence_rows(order)
-        width = max(table_width, (order * cat[order]).bit_length() // 8 + 1)
+        width = max(table_width, _field_bytes(order))
         for k in range(order + 1):
             a[k] = _restride(a[k], table_width, width, k + 2)
     else:

@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import chain, repeat
 
 from .polyalg import Poly
-from .tree import PlaneTree, avalanche_poly, label_tree, parse_tree
+from .tree import PlaneTree, avalanche_poly, parse_tree
 
 __all__ = [
     "ThreePartitionInstance",
@@ -425,61 +425,42 @@ def extract_partition(tree: PlaneTree, inst: ThreePartitionInstance) -> list[lis
     """Read a 3-partition solution off a tree whose avalanche polynomial
     equals the instance's reduction polynomial.
 
-    Checks the full reduction shape while walking: n root children
-    labeled lam*C+1, their children labeled lam*C+1+lam*a with the right
-    leaf fan-outs, every group of a-values summing to C. Structural
-    mismatch raises ExtractionError."""
+    A label is the parent's label plus the subtree size, so the shape is
+    read from `size` without labeling a copy of the tree: n root children
+    of size (and label) lam*C+1, whose children are branches of size
+    lam*a for unused instance values a, each carrying only leaves (it
+    does iff it has size - 1 children). The groups then pass the check
+    `build_reduction_tree` applies to a partition. Structural mismatch
+    raises ExtractionError."""
     validate_instance(inst)
-    lam, C, a = inst.lam, inst.C, inst.a
-    base = lam * C + 1
-    labeled = label_tree(tree)
-
-    if len(labeled.children) != inst.n:
-        raise ExtractionError(
-            f"root has {len(labeled.children)} children, expected n = {inst.n}"
-        )
+    base = inst.lam * inst.C + 1
+    if len(tree.children) != inst.n:
+        raise ExtractionError(f"root has {len(tree.children)} children, expected n = {inst.n}")
     unused: dict[int, list[int]] = {}
-    for i, ai in enumerate(a, start=1):
+    for i, ai in enumerate(inst.a, start=1):
         unused.setdefault(ai, []).append(i)
 
     groups: list[list[int]] = []
-    for child in labeled.children:
-        if child.label != base:
-            raise ExtractionError(
-                f"root child labeled {child.label}, expected lam*C+1 = {base}"
-            )
+    for child in tree.children:
+        if child.size != base:
+            raise ExtractionError(f"root child labeled {child.size}, expected lam*C+1 = {base}")
         group: list[int] = []
         for node in child.children:
-            offset = node.label - base
-            if offset <= 0 or offset % lam:
-                raise ExtractionError(
-                    f"label {node.label} is not lam*C+1+lam*a for any value"
-                )
-            val = offset // lam
+            label = base + node.size
+            val, rest = divmod(node.size, inst.lam)
+            if rest:
+                raise ExtractionError(f"label {label} is not lam*C+1+lam*a for any value")
             if not unused.get(val):
+                raise ExtractionError(f"no unused instance value {val} for label {label}")
+            if len(node.children) != node.size - 1:
                 raise ExtractionError(
-                    f"no unused instance value {val} for label {node.label}"
+                    f"vertex labeled {label} has {len(node.children)} children, "
+                    f"expected lam*a-1 = {node.size - 1} leaves"
                 )
-            if len(node.children) != lam * val - 1:
-                raise ExtractionError(
-                    f"vertex labeled {node.label} has {len(node.children)} "
-                    f"children, expected lam*a-1 = {lam * val - 1}"
-                )
-            for leaf in node.children:
-                if leaf.children or leaf.label != node.label + 1:
-                    raise ExtractionError(
-                        f"expected a leaf labeled {node.label + 1} under "
-                        f"label {node.label}"
-                    )
             group.append(unused[val].pop(0))
-        if len(group) != 3:
-            raise ExtractionError(f"group has {len(group)} members, expected 3")
-        if sum(a[i - 1] for i in group) != C:
-            raise ExtractionError(
-                f"group {group} values sum to "
-                f"{sum(a[i - 1] for i in group)}, expected C = {C}"
-            )
         groups.append(sorted(group))
-    if any(unused.values()):
-        raise ExtractionError("some instance values were never matched")
+    try:
+        _validate_partition(inst, groups)
+    except PartitionError as exc:
+        raise ExtractionError(str(exc)) from None
     return groups

@@ -9,7 +9,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import re
-import threading
 
 __all__ = ["Poly", "Series", "catalan", "catalan_series"]
 
@@ -18,22 +17,26 @@ __all__ = ["Poly", "Series", "catalan", "catalan_series"]
 #  Catalan numbers
 # ---------------------------------------------------------------------------
 
-_catalan_lock = threading.Lock()
 _catalan_table = [1]
 
 
 def catalan(k: int) -> int:
-    """k-th Catalan number binom(2k, k)/(k+1); memoized, O(n) multiplications."""
+    """k-th Catalan number binom(2k, k)/(k+1); memoized, O(n) multiplications.
+    The memo is extended in a copy, then published by rebinding it, so it
+    needs no lock: its values are deterministic, and a thread that loses a
+    race only costs a recomputation."""
+    global _catalan_table
     if k < 0:
         raise ValueError("catalan: k must be >= 0")
-    if k >= len(_catalan_table):
-        with _catalan_lock:
-            t = _catalan_table
-            while len(t) <= k:
-                m = len(t) - 1
-                # C_{m+1} = C_m * 2(2m+1)/(m+2); the division is always exact
-                t.append(t[m] * (4 * m + 2) // (m + 2))
-    return _catalan_table[k]
+    t = _catalan_table
+    if k >= len(t):
+        t = t.copy()
+        while len(t) <= k:
+            m = len(t) - 1
+            # C_{m+1} = C_m * 2(2m+1)/(m+2); the division is always exact
+            t.append(t[m] * (4 * m + 2) // (m + 2))
+        _catalan_table = t
+    return t[k]
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class PlaneTree:
         self.children = tuple(children)
         self.size = 1 + sum(c.size for c in self.children)
 
-    @property
-    def edge_count(self) -> int:
-        return self.size - 1
-
     def encode(self) -> str:
         """The parenthesis encoding. A run of r >= 3 consecutive children
         that are one object is encoded once and the string repeated r

@@ -10,7 +10,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from avpoly.distribution import (
-    PI,
     distribution_by_closed_form,
     distribution_by_enumeration,
     distribution_by_recurrence,
@@ -34,6 +33,7 @@ from avpoly.polyalg import Poly, catalan
 from avpoly.tree import PlaneTree, avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 def report(num: int, ok: bool, started: float, detail: str) -> bool:

@@ -307,6 +307,17 @@ def test_moments_match_taylor_recurrence():
         assert variance_exact(n) == Fraction(second, mass) - Fraction(first, mass) ** 2, n
 
 
+def test_recurrence_table_moments_match_closed_forms_at_120():
+    # the packed recurrence table at the largest benchmarked size against
+    # the paper's closed forms: mass n C_n, first moment, variance
+    n = 120
+    a = distribution_by_recurrence(n).poly
+    mass = n * catalan(n)
+    assert a.moment(0) == mass
+    assert a.moment(1) == first_moment_total(n)
+    assert variance_exact(n) == Fraction(a.moment(2), mass) - Fraction(a.moment(1), mass) ** 2
+
+
 def test_mean_closed_form_identity():
     # 4^{n-1}(n+2)/(n C_n) - (n+1)^2/(2n) reproduces the mass quotient
     for n in range(1, 30):

@@ -547,6 +547,45 @@ def test_extract_rejects_wrong_tree():
         extract_partition(PlaneTree(PlaneTree() for _ in range(105)), INST)
 
 
+def test_extract_reads_subtree_sizes_without_copying_the_tree():
+    # 1,600,002 vertices: labeling a copy of this tree peaked at about
+    # 245 MB under tracemalloc; reading `size` allocates almost nothing
+    inst = ThreePartitionInstance(n=1, C=400000, a=(100001, 133333, 166666), lam=4)
+    tree = build_reduction_tree(inst, [[1, 2, 3]])
+    assert tree.size == 1_600_002
+    tracemalloc.start()
+    try:
+        groups = extract_partition(tree, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups == [[1, 2, 3]]
+    assert peak < 10 * 2**20
+
+
+def test_extract_rejects_a_branch_with_a_non_leaf_child():
+    # two leaves of one branch become one (()): every subtree size and the
+    # branch's label stay those of the reduction tree
+    tree = build_reduction_tree(INST, [[1, 2, 3]])
+    (group,) = tree.children
+    first, *rest = group.children
+    bad = PlaneTree(list(first.children[2:]) + [PlaneTree([PlaneTree()])])
+    assert bad.size == first.size
+    with pytest.raises(ExtractionError, match="children, expected"):
+        extract_partition(PlaneTree([PlaneTree([bad, *rest])]), INST)
+
+
+def test_extract_rejects_a_root_child_of_the_wrong_size():
+    # a branch moved from the first group to the second: n root children,
+    # every branch a valid one, but the root children have 57 and 113
+    # vertices against lam*C+1 = 85
+    inst = ThreePartitionInstance(n=2, C=12, a=(4, 4, 4, 4, 4, 4), lam=7)
+    g1, g2 = build_reduction_tree(inst, [[1, 2, 3], [4, 5, 6]]).children
+    tree = PlaneTree([PlaneTree(g1.children[1:]), PlaneTree(g1.children[:1] + g2.children)])
+    with pytest.raises(ExtractionError, match="root child labeled 57"):
+        extract_partition(tree, inst)
+
+
 def test_general_search_solves_reduction_instance():
     p = reduction_poly(INST)
     r = solve_general(p)
