@@ -42,8 +42,6 @@ overflows into the next one:
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from operator import itemgetter, mul
 
 from .polyalg import Poly, catalan
@@ -74,8 +72,9 @@ __all__ = [
 # takes 1.7-1.8 s and 15 MB peak RSS; n = 12 takes 0.4-0.6 s.
 DEFAULT_ENUM_CAP = 13
 
-# Fixed high-precision constants for ratio rendering.
-SQRT_PI = Decimal("1.77245385090551602729816748334114518279754945612238712821381")
+# sqrt(pi) for ratio rendering, as text: `decimal` and `fractions` are
+# imported inside the moment functions, so other commands do not load them
+SQRT_PI = "1.77245385090551602729816748334114518279754945612238712821381"
 
 _RATIO_PRECISION = 50
 
@@ -276,9 +275,13 @@ def first_moment_total(n: int) -> int:
 
 def mean_exact(n: int) -> Fraction:
     """Mean avalanche size over all trees with n edges, exactly."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Fraction(first_moment_total(n), n * catalan(n))
+    # C_n before C_{n-1}: asked for next, C_n would double the memo
+    cn = catalan(n)
+    return Fraction(first_moment_total(n), n * cn)
 
 
 def variance_exact(n: int) -> Fraction:
@@ -289,6 +292,8 @@ def variance_exact(n: int) -> Fraction:
     (7/16 vs 11/16), so a single -1/(2n) is used here. The test suite
     pins this choice against the enumeration oracle.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
     cn = catalan(n)
@@ -314,6 +319,8 @@ def variance_exact(n: int) -> Fraction:
 def moment_report(n: int) -> MomentReport:
     """Exact moments plus asymptotic ratios rendered through 50-digit
     decimal division (the ratios are floats, correctly rounded)."""
+    from decimal import Decimal, localcontext
+
     if n < 1:
         raise ValueError("n must be >= 1")
     mean = mean_exact(n)
@@ -321,7 +328,7 @@ def moment_report(n: int) -> MomentReport:
     with localcontext() as ctx:
         ctx.prec = _RATIO_PRECISION
         mean_dec = Decimal(mean.numerator) / Decimal(mean.denominator)
-        scale = SQRT_PI / 4 * Decimal(n**3).sqrt()
+        scale = Decimal(SQRT_PI) / 4 * Decimal(n**3).sqrt()
         mean_ratio = float(mean_dec / scale)
         var_dec = Decimal(variance.numerator) / Decimal(variance.denominator)
         variance_ratio = float(var_dec / Decimal(n**3))

@@ -8,9 +8,10 @@ on parenthesis encodings and builds trees only for solutions. A vertex's
 leaves come first among its children, so the search places them as one
 run, a single step and a single choice point however many leaves it
 holds, and undoes a run's leaves together; it still counts, and visits
-in the same order, one placement per leaf. It remembers the sub-searches
-of vertices that failed, and a repeat of one is charged the placements
-recorded for it instead of being searched again.
+in the same order, one placement per leaf. It records the finished
+sub-search below each vertex, the subtrees it closed into and the
+placements made before each, and a repeat of it replays the record
+instead of being searched again.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
@@ -181,24 +182,36 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     and undoes every leaf on its own, and `attempts`, the budget cutoff
     and the solutions are the same.
 
-    Failed sub-searches are remembered. A non-leaf child labeled L with
+    Finished sub-searches are recorded. A non-leaf child labeled L with
     room r can place only labels in the window (L, L + r(r+1)/2], the
     most a chain of r descendants adds; labels beyond it are only ever
-    rejected, all alike, by every vertex inside. So the placements made
-    below the child, up to the point where it closes, depend only on the
-    key (L, r, counts left of the labels in the window). When the child
-    is undone without ever having closed, the search records the
-    placements made below it under that key. A later open with an equal
-    key counts its own placement, is charged the recorded number, and
-    goes on to the next label without descending; if fewer placements
-    are left in the budget it stops with `attempts == budget`, where the
-    search below would have stopped. A child that closed even once is
-    not recorded, since whether its parent then accepts it depends on
-    the parent's earlier children. So `attempts`, the budget cutoff and
-    the solutions are those of the search without the record. The record
-    holds at most one entry per failed open, and a failure is left out
-    when its window would take the counts held past the placements made
-    so far, so the budget bounds the record as it bounds the search.
+    rejected, all alike, by every vertex inside, and the child places at
+    most r vertices, so it cannot tell a count above r from r. So what
+    happens below the child depends only on the key (L, r, counts left
+    of the labels in the window, each cut to r): the placements made,
+    and the subtrees it closes into, in order. Between two closings the search runs outside the
+    child and backtracks into it with the counts as they were; whether
+    the parent accepts a closing does not change what follows below.
+    The choice points made inside the child lie below the stack height
+    at its closing, so popping one of them brings the search back
+    inside. When the child is undone for good, the search records under
+    its key each closing, as the placements made below the child since
+    the open or the closing before and its (size, encoding) key, then
+    the placements made after the last one; a child that never closed
+    has only those. A later open with an equal key counts its own
+    placement and replays the record: each closing is charged its
+    placements, takes the labels it used (read off its encoding) out of
+    the counts and is offered to the parent, which accepts or rejects it
+    as it would the searched one; backtracking into it puts the labels
+    back and moves on to the next closing. After the last one the search
+    is charged the placements after it and goes on to the next label. A
+    charge larger than what is left in the budget stops the search with
+    `attempts == budget`, where the search below would have stopped. So
+    `attempts`, the budget cutoff and the solutions are those of the
+    search without the record. The records hold no more window counts
+    and closed vertices than the placements made: a closing that would
+    take them past that drops the record of its vertex, and so does a
+    window at the end.
     """
     avail = dict(poly.items())
     if any(c < 0 for c in avail.values()):
@@ -224,21 +237,39 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     # point shares what it saved with the states that follow it.
     v = (0, total, (), None, None, -1)
     i = 0  # index in `labels` of the next label to try for v's next child
-    # choice points: (open vertex, index of the label placed), or for a run
-    # of k leaves (open vertex before the run, -k); the leaf label lbl + 1
-    # directly follows lbl in `labels`, so its index is the vertex's + 1
+    # choice points: (open vertex, index of the label placed); for a run of
+    # k leaves (open vertex before the run, -k), where the leaf label
+    # lbl + 1 directly follows lbl in `labels`, so its index is the
+    # vertex's + 1; and for a replayed repeat (open vertex, [index of its
+    # label, closings, index of the closing offered, placements after the
+    # last])
     stack = []
     push, pop = stack.append, stack.pop
-    # Failed sub-searches of a child labeled labels[i] with room r:
-    # failed[i][r] is (end, placements by window), where the window is
-    # tuple(left[i + 1:end]), the counts left of the labels in
+    # Records of finished sub-searches of a child labeled labels[i] with
+    # room r: memo[i][r] is (end, caps, records by window). The window
+    # holds the counts left of the labels in labels[i + 1:end], those in
     # (labels[i], labels[i] + r(r+1)/2], which hold every label the child
-    # can place
-    failed = [{} for _ in labels]
-    held = 0  # counts in the windows of `failed`
-    # (parent state, placements left after the open) for each open
-    # non-leaf vertex that has not closed, innermost last, over a sentinel
-    frames = [(None, 0)]
+    # can place, each cut to r: the child places at most r vertices, so it
+    # cannot tell a count above r from r. `caps` lists the positions in
+    # the window of the labels with more than r in all, the only counts
+    # that can exceed r. A record is (closings, placements after the last
+    # one); a closing is (placements before it, key), and gains the (label
+    # index, count) pairs of the vertices below the child on its first
+    # replay.
+    memo = [{} for _ in labels]
+    index = {lb: k for k, lb in enumerate(labels)}
+    below = {}  # (encoding, label of its root) -> the pairs of a closing
+    held = 0  # window counts and closed vertices in the records
+    # A record in progress: [parent state at the open, placements left at
+    # the last entry into the vertex, closings, stack height at the last
+    # closing, closed vertices held]. `opened` holds those of open
+    # vertices, innermost last, over a sentinel; `waiting` those of
+    # vertices that closed, by that height, until the search backtracks
+    # below it into them
+    opened = [[None, 0, [], -1, 0]]
+    waiting = [[None, 0, [], -1, 0]]
+    wait_h = -1  # the height of the last in `waiting`
+    status = None
     while True:
         lbl, room, lo_key, kids, parent, idx = v
         if room:
@@ -264,24 +295,42 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                     break
                 spare -= 1
                 r = child - lbl - 1
-                seen = failed[i].get(r)
+                seen = memo[i].get(r)
+                rec = None
                 if seen is not None:
-                    end, by_window = seen
-                    n = by_window.get(tuple(left[i + 1:end]))
-                    if n is not None:  # a repeat: charge it, and skip it
-                        if n > spare:
-                            spare = 0
-                            status = "budget_exhausted"
-                            break
-                        spare -= n
-                        i += 1
-                        continue
+                    end, caps, by_window = seen
+                    window = left[i + 1:end]
+                    for k in caps:
+                        if window[k] > r:
+                            window[k] = r
+                    rec = by_window.get(tuple(window))
+                if rec is None:
+                    left[i] -= 1
+                    push((v, i))
+                    opened.append([v, spare, [], 0, 0])
+                    v = (child, r, (), None, v, i)
+                    i += 1
+                    continue
+                closings, tail = rec
+                # a repeat that never closed: charge it and skip it here, as
+                # a replay would, without its push and pop (most lookups)
+                if not closings:
+                    if tail > spare:
+                        spare = 0
+                        status = "budget_exhausted"
+                        break
+                    spare -= tail
+                    i += 1
+                    continue
+                if len(closings[0]) == 2:  # its first replay
+                    for c, (n, key) in enumerate(closings):
+                        used = below.get((key[1], child))
+                        if used is None:
+                            used = below[key[1], child] = _labels_below(key[1], child, index)
+                        closings[c] = (n, key, used)
+                # the undo below offers the first closing
                 left[i] -= 1
-                push((v, i))
-                frames.append((v, spare))
-                v = (child, r, (), None, v, i)
-                i += 1
-                continue
+                push((v, [i, closings, -1, tail]))
         else:
             if kids is None:
                 body = ""
@@ -295,13 +344,21 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                 found.append(f"({'()' * (total - len(body) // 2)}{body})")
             else:
                 # close the full vertex into its parent, whose scan for a
-                # next child starts at this vertex's label; a vertex that
-                # closes is never recorded as failed
-                if frames[-1][0] is parent:
-                    frames.pop()
+                # next child starts at this vertex's label
                 mu, room, lo_key, kids, grand, pidx = parent
                 size = lbl - mu
                 key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
+                rec = opened[-1]
+                if rec[0] is parent:  # add the closing to its record, or drop it
+                    opened.pop()
+                    if held + size <= budget - spare:
+                        held += size
+                        rec[2].append((rec[1] - spare, key))
+                        rec[3] = wait_h = len(stack)
+                        rec[4] += size
+                        waiting.append(rec)
+                    else:
+                        held -= rec[4]
                 if key >= lo_key:
                     v = (mu, room - size, key, (key[1], kids), grand, pidx)
                     i = idx
@@ -309,17 +366,65 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
         # a dead end or a solution: undo back to the last alternative
         while stack:
             v, i = pop()
+            if len(stack) < wait_h:  # back inside vertices that closed
+                h = len(stack)
+                while waiting[-1][3] > h:
+                    rec = waiting.pop()
+                    rec[1] = spare
+                    opened.append(rec)
+                wait_h = waiting[-1][3]
+            if i.__class__ is list:  # a replayed repeat: its next closing
+                ci, closings, j, tail = i
+                if j >= 0:
+                    for k, c in closings[j][2]:
+                        left[k] += c
+                j += 1
+                if j == len(closings):
+                    if tail > spare:
+                        spare = 0
+                        status = "budget_exhausted"
+                        break
+                    spare -= tail
+                    left[ci] += 1
+                    i = ci + 1
+                    break
+                n, key, used = closings[j]
+                if n > spare:
+                    spare = 0
+                    status = "budget_exhausted"
+                    break
+                spare -= n
+                for k, c in used:
+                    left[k] -= c
+                i[2] = j
+                push((v, i))
+                mu, room, lo_key, kids, grand, pidx = v
+                if key >= lo_key:
+                    v = (mu, room - key[0], key, (key[1], kids), grand, pidx)
+                    i = ci
+                    break
+                continue
             if i >= 0:
-                if frames[-1][0] is v:  # its vertex never closed
-                    n = frames.pop()[1] - spare
+                rec = opened[-1]
+                if rec[0] is v:  # the vertex is undone: keep its record
+                    opened.pop()
                     r = labels[i] - v[0] - 1
                     end = bisect_right(labels, labels[i] + r * (r + 1) // 2, i + 1)
-                    # the record holds no more counts than placements made
+                    # the records hold no more than the placements made
                     if held + end - i - 1 <= budget - spare:
                         held += end - i - 1
+                        seen = memo[i].get(r)
+                        if seen is None:
+                            caps = [k for k, lb in enumerate(labels[i + 1:end]) if avail[lb] > r]
+                            seen = memo[i][r] = (end, caps, {})
                         # `left` is back as it was at the open
-                        window = tuple(left[i + 1:end])
-                        failed[i].setdefault(r, (end, {}))[1][window] = n
+                        window = left[i + 1:end]
+                        for k in seen[1]:
+                            if window[k] > r:
+                                window[k] = r
+                        seen[2][tuple(window)] = (rec[2], rec[1] - spare)
+                    else:
+                        held -= rec[4]
                 left[i] += 1
                 i += 1
                 break
@@ -347,12 +452,37 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
             break
         else:
             status = "found" if found else "no_tree"
+        if status:
             break
 
     solutions = [parse_tree(enc) for enc in sorted(found)]
     for tree in solutions:
         assert avalanche_poly(tree) == poly
     return InverseResult(status, solutions, budget - spare)
+
+
+def _labels_below(enc: str, label: int, index: dict) -> tuple:
+    """(index in `labels`, count) of the labels of the vertices below the
+    root of the encoding `enc`, whose root is labeled `label`."""
+    size = {}
+    opens = []
+    for j, ch in enumerate(enc):
+        if ch == "(":
+            opens.append(j)
+        else:
+            o = opens.pop()
+            size[o] = (j - o + 1) // 2
+    counts = {}
+    up = [label]
+    for j, ch in enumerate(enc):
+        if ch == "(":
+            if j:
+                lbl = up[-1] + size[j]
+                counts[lbl] = counts.get(lbl, 0) + 1
+                up.append(lbl)
+        else:
+            up.pop()
+    return tuple((index[lbl], c) for lbl, c in counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,16 @@ def catalan(k: int) -> int:
     """k-th Catalan number binom(2k, k)/(k+1); memoized, O(n) multiplications.
     The memo is extended in a copy, then published by rebinding it, so it
     needs no lock: its values are deterministic, and a thread that loses a
-    race only costs a recomputation."""
+    race only costs a recomputation. An extension at least doubles the
+    memo, so calls for k = 0, 1, 2, ... in turn copy it O(log k) times."""
     global _catalan_table
     if k < 0:
         raise ValueError("catalan: k must be >= 0")
     t = _catalan_table
     if k >= len(t):
         t = t.copy()
-        while len(t) <= k:
-            m = len(t) - 1
-            # C_{m+1} = C_m * 2(2m+1)/(m+2); the division is always exact
+        # C_{m+1} = C_m * 2(2m+1)/(m+2); the division is always exact
+        for m in range(len(t) - 1, max(k, 2 * len(t) - 1)):
             t.append(t[m] * (4 * m + 2) // (m + 2))
         _catalan_table = t
     return t[k]

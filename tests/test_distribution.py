@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avpoly import distribution
+from avpoly import distribution, polyalg
 from avpoly.distribution import (
     CurvePoint,
     DistributionRecord,
@@ -269,6 +269,14 @@ def test_moment_report_values():
     assert r.variance_ratio == pytest.approx(11 / 16 / 8)
     with pytest.raises(ValueError):
         moment_report(0)
+
+
+def test_moment_report_grows_the_catalan_memo_only_to_n(monkeypatch):
+    # an extension asked for just past the memo doubles it; `moments` asks
+    # for C_n first, so it holds C_0..C_n at the end, as one call would
+    monkeypatch.setattr(polyalg, "_catalan_table", [1])
+    moment_report(300)
+    assert len(polyalg._catalan_table) == 301
 
 
 def test_moment_report_precision_against_float_path():

@@ -267,12 +267,14 @@ def reference_solve_general(poly: Poly, budget: int):
 # No polynomial of a tree with <= 8 edges has two canonical solutions; the
 # first three below are the smallest that do (10 and 11 edges). The next
 # two have no tree: each is a tree's polynomial with one unit of its top
-# coefficient moved one exponent up. The last two are the deepest and the
+# coefficient moved one exponent up. The next two are the deepest and the
 # widest tree with 6 edges, the path and the fan. The search meets
-# sub-searches it has seen fail before, and is charged for them, in all
-# but those two; in the last of the list, 121 placements with no tree,
+# sub-searches it has seen before, and replays or charges them, in all
+# but those two; in the second to last, 121 placements with no tree,
 # 72 of them are charged in 17 skips of up to 29, so many budgets end
-# inside a skip.
+# inside a skip. In the last, a 10-edge tree's polynomial found in 107
+# placements, a replayed vertex and its parent close at the same stack
+# height, so backtracking below it re-enters both records at once.
 ORACLE_POLYS = [
     "2*q^5 + 4*q^6 + 2*q^7 + 2*q^8",
     "q^4 + 2*q^7 + 6*q^8 + q^9 + q^10",
@@ -284,6 +286,7 @@ ORACLE_POLYS = [
     "q^6 + q^11 + q^15 + q^18 + q^20 + q^21",
     "6*q",
     "q^11 + 2*q^12 + q^19 + 3*q^20 + 2*q^21 + q^22 + q^23",
+    "2*q + q^8 + q^15 + 2*q^16 + q^19 + q^20 + q^21 + q^22",
 ]
 
 
@@ -336,7 +339,7 @@ def moved_up(poly: Poly) -> Poly:
     return Poly(pairs)
 
 
-small_trees = st.integers(0, 9).flatmap(
+small_trees = st.integers(0, 11).flatmap(
     lambda n: st.tuples(*(st.integers(0, v - 1) for v in range(1, n + 1)))
 ).map(tree_from_parents)
 tree_polys = small_trees.map(avalanche_poly)
@@ -400,6 +403,47 @@ def test_general_charges_repeats_of_failed_sub_searches(text, attempts):
     assert (cut.status, cut.attempts) == ("budget_exhausted", attempts - 1)
 
 
+@pytest.mark.parametrize(
+    "text,budget,attempts",
+    [
+        # polynomials of random trees of 45-55 edges, random.Random("mem:k")
+        # for k = 0 and 1; nearly all of their placements are made inside
+        # repeats of sub-searches that closed, and searching those repeats
+        # took 2.6 and 3.0 s
+        (
+            "6*q^1 + 2*q^2 + 2*q^3 + q^4 + q^7 + q^9 + q^10 + q^40 + q^47"
+            " + 2*q^48 + q^51 + q^52 + q^53 + q^54 + q^72 + q^103 + q^105"
+            " + q^106 + q^131 + 2*q^132 + q^156 + q^180 + q^181 + q^182"
+            " + q^183 + q^200 + 2*q^201 + 2*q^202 + 3*q^203 + q^205 + q^206"
+            " + q^210 + q^219 + q^220 + q^221 + q^222 + q^224 + q^225"
+            " + q^227 + q^229 + q^230",
+            10**7,
+            4889441,
+        ),
+        (
+            "q^55 + q^109 + q^111 + q^112 + q^160 + q^164 + q^165 + q^166"
+            " + q^167 + q^206 + 2*q^207 + q^208 + q^209 + q^247 + 4*q^248"
+            " + q^249 + q^250 + q^281 + q^314 + q^346 + 3*q^347 + 2*q^360"
+            " + q^361 + q^363 + 2*q^364 + q^369 + q^372 + q^373 + 5*q^374"
+            " + 2*q^375 + q^376 + q^378 + q^379 + 2*q^380 + q^381 + q^386"
+            " + q^391 + q^395 + 3*q^396",
+            10**8,
+            10553737,
+        ),
+    ],
+    ids=["mem-0", "mem-1"],
+)
+def test_general_replays_the_closings_of_repeated_sub_searches(text, budget, attempts):
+    # the pinned counts are those of the search that descends into every
+    # repeat; replaying the recorded closings keeps them
+    poly = Poly.from_text(text)
+    r = solve_general(poly, budget)
+    assert (r.status, len(r.trees), r.attempts) == ("found", 1, attempts)
+    assert avalanche_poly(r.trees[0]) == poly
+    cut = solve_general(poly, budget=attempts - 1)
+    assert (cut.status, cut.attempts) == ("budget_exhausted", attempts - 1)
+
+
 def test_general_record_of_failed_sub_searches_is_bounded_by_placements():
     # the path of 2000 edges with its deepest label moved up: each vertex on
     # the way back up fails, and its window holds every label below it, so
@@ -414,6 +458,23 @@ def test_general_record_of_failed_sub_searches_is_bounded_by_placements():
         tracemalloc.stop()
     assert (r.status, r.attempts) == ("no_tree", 1999)
     assert peak < 3 * 10**6
+
+
+def test_general_records_of_a_path_are_bounded_by_placements():
+    # the path of 5000 edges: each vertex closes once, into a parent that
+    # is still open, and the record of a closing holds the closed subtree,
+    # so recording every closing would hold 1.25 * 10^7 vertices for 5000
+    # placements
+    path = avalanche_poly(parse_tree("(" * 5001 + ")" * 5001))
+    tracemalloc.start()
+    try:
+        r = solve_general(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.attempts) == ("found", 5000)
+    assert [t.encode() for t in r.trees] == ["(" * 5001 + ")" * 5001]
+    assert peak < 5 * 10**6
 
 
 def test_general_places_a_run_of_leaves_in_one_step():
