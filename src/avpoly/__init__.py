@@ -42,7 +42,7 @@ from .inverse import (
     solve_height2,
     validate_instance,
 )
-from .polyalg import Poly, Series, catalan, catalan_series
+from .polyalg import Poly, Series, catalan
 from .tree import (
     LabeledTree,
     PlaneTree,
@@ -60,7 +60,6 @@ __all__ = [
     "Poly",
     "Series",
     "catalan",
-    "catalan_series",
     "PlaneTree",
     "LabeledTree",
     "TreeParseError",

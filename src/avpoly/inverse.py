@@ -18,7 +18,7 @@ instances whose polynomials force a unique solution tree shape.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, repeat
 
@@ -189,22 +189,24 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     most r vertices, so it cannot tell a count above r from r. So what
     happens below the child depends only on the key (L, r, counts left
     of the labels in the window, each cut to r): the placements made,
-    and the subtrees it closes into, in order. Between two closings the search runs outside the
-    child and backtracks into it with the counts as they were; whether
-    the parent accepts a closing does not change what follows below.
-    The choice points made inside the child lie below the stack height
-    at its closing, so popping one of them brings the search back
-    inside. When the child is undone for good, the search records under
-    its key each closing, as the placements made below the child since
-    the open or the closing before and its (size, encoding) key, then
-    the placements made after the last one; a child that never closed
-    has only those. A later open with an equal key counts its own
-    placement and replays the record: each closing is charged its
-    placements, takes the labels it used (read off its encoding) out of
-    the counts and is offered to the parent, which accepts or rejects it
-    as it would the searched one; backtracking into it puts the labels
-    back and moves on to the next closing. After the last one the search
-    is charged the placements after it and goes on to the next label. A
+    and the subtrees it closes into, in order. Between two closings the
+    search runs outside the child and backtracks into it with the counts
+    as they were; whether the parent accepts a closing does not change
+    what follows below. Each state of the child carries its record in
+    progress. A closing adds itself to the record, as the placements
+    made below the child since the open or the last re-entry and its
+    (size, encoding) key, and leaves a mark on the stack of choice
+    points, above those made inside the child: popping the mark is the
+    re-entry. When the child is undone for good, its open choice point
+    files the record under its key, with the placements made after the
+    last closing; a child that never closed has only those. A later
+    open with an equal key counts its own placement and replays the
+    record: each closing is charged its placements, takes the labels it
+    used (its subtree's avalanche polynomial, shifted by L) out of the
+    counts and is offered to the parent, which accepts or rejects it as
+    it would the searched one; backtracking into it puts the labels back
+    and moves on to the next closing. After the last one the search is
+    charged the placements after it and goes on to the next label. A
     charge larger than what is left in the budget stops the search with
     `attempts == budget`, where the search below would have stopped. So
     `attempts`, the budget cutoff and the solutions are those of the
@@ -229,20 +231,27 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
 
     # The open vertex is a tuple (label, room left for descendants, key of
     # its last closed child that is not a leaf, encodings of those
-    # children, parent, index of its label in `labels`). The children form
-    # a linked list (enc, rest), last child first; before the first one
-    # the key is (), which is below every key. Leaves are not stored: they
-    # come first, and a closing vertex's leaves are the vertices its other
-    # children leave of its size. Vertices are immutable, so every choice
-    # point shares what it saved with the states that follow it.
-    v = (0, total, (), None, None, -1)
+    # children, parent, index of its label in `labels`, record). The
+    # children form a linked list (enc, rest), last child first; before
+    # the first one the key is (), which is below every key. Leaves are
+    # not stored: they come first, and a closing vertex's leaves are the
+    # vertices its other children leave of its size. Vertices are
+    # immutable, so every choice point shares what it saved with the
+    # states that follow it. The record, shared by every state of the
+    # vertex, is [placements left at the open or the last re-entry,
+    # closings or None once dropped, index of its label]; a closing is
+    # (placements before it, key).
+    v = (0, total, (), None, None, -1, None)
     i = 0  # index in `labels` of the next label to try for v's next child
-    # choice points: (open vertex, index of the label placed); for a run of
-    # k leaves (open vertex before the run, -k), where the leaf label
-    # lbl + 1 directly follows lbl in `labels`, so its index is the
-    # vertex's + 1; and for a replayed repeat (open vertex, [index of its
-    # label, closings, index of the closing offered, placements after the
-    # last])
+    # choice points, four shapes:
+    # - run: (open vertex before the run, -k) for a run of k leaves; the
+    #   leaf label lbl + 1 directly follows lbl in `labels`, so its index
+    #   is the vertex's + 1;
+    # - open: (open vertex, record of the child placed);
+    # - replay: (open vertex, (index of the repeat's label, closings,
+    #   placements after the last, index of the closing offered, its
+    #   (label index, count) pairs));
+    # - re-entry: (None, record) of a vertex that closed.
     stack = []
     push, pop = stack.append, stack.pop
     # Records of finished sub-searches of a child labeled labels[i] with
@@ -253,25 +262,13 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     # cannot tell a count above r from r. `caps` lists the positions in
     # the window of the labels with more than r in all, the only counts
     # that can exceed r. A record is (closings, placements after the last
-    # one); a closing is (placements before it, key), and gains the (label
-    # index, count) pairs of the vertices below the child on its first
-    # replay.
+    # one).
     memo = [{} for _ in labels]
-    index = {lb: k for k, lb in enumerate(labels)}
-    below = {}  # (encoding, label of its root) -> the pairs of a closing
+    below = {}  # (encoding, label index) -> the pairs of a replayed closing
     held = 0  # window counts and closed vertices in the records
-    # A record in progress: [parent state at the open, placements left at
-    # the last entry into the vertex, closings, stack height at the last
-    # closing, closed vertices held]. `opened` holds those of open
-    # vertices, innermost last, over a sentinel; `waiting` those of
-    # vertices that closed, by that height, until the search backtracks
-    # below it into them
-    opened = [[None, 0, [], -1, 0]]
-    waiting = [[None, 0, [], -1, 0]]
-    wait_h = -1  # the height of the last in `waiting`
     status = None
     while True:
-        lbl, room, lo_key, kids, parent, idx = v
+        lbl, room, lo_key, kids, parent, idx, rec = v
         if room:
             while not left[i]:
                 i += 1
@@ -288,7 +285,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                     spare -= k
                     left[i] -= k
                     push((v, -k))
-                    v = (lbl, room - k, lo_key, kids, parent, idx)
+                    v = (lbl, room - k, lo_key, kids, parent, idx, rec)
                     continue
                 if not spare:
                     status = "budget_exhausted"
@@ -296,22 +293,22 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                 spare -= 1
                 r = child - lbl - 1
                 seen = memo[i].get(r)
-                rec = None
+                kept = None
                 if seen is not None:
                     end, caps, by_window = seen
                     window = left[i + 1:end]
                     for k in caps:
                         if window[k] > r:
                             window[k] = r
-                    rec = by_window.get(tuple(window))
-                if rec is None:
+                    kept = by_window.get(tuple(window))
+                if kept is None:
                     left[i] -= 1
-                    push((v, i))
-                    opened.append([v, spare, [], 0, 0])
-                    v = (child, r, (), None, v, i)
+                    new = [spare, [], i]
+                    push((v, new))
+                    v = (child, r, (), None, v, i, new)
                     i += 1
                     continue
-                closings, tail = rec
+                closings, tail = kept
                 # a repeat that never closed: charge it and skip it here, as
                 # a replay would, without its push and pop (most lookups)
                 if not closings:
@@ -322,15 +319,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                     spare -= tail
                     i += 1
                     continue
-                if len(closings[0]) == 2:  # its first replay
-                    for c, (n, key) in enumerate(closings):
-                        used = below.get((key[1], child))
-                        if used is None:
-                            used = below[key[1], child] = _labels_below(key[1], child, index)
-                        closings[c] = (n, key, used)
                 # the undo below offers the first closing
                 left[i] -= 1
-                push((v, [i, closings, -1, tail]))
+                push((v, (i, closings, tail, -1, ())))
         else:
             if kids is None:
                 body = ""
@@ -345,39 +336,32 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
             else:
                 # close the full vertex into its parent, whose scan for a
                 # next child starts at this vertex's label
-                mu, room, lo_key, kids, grand, pidx = parent
+                mu, room, lo_key, kids, grand, pidx, prec = parent
                 size = lbl - mu
                 key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
-                rec = opened[-1]
-                if rec[0] is parent:  # add the closing to its record, or drop it
-                    opened.pop()
+                closings = rec[1]
+                if closings is not None:  # add the closing to the record, or drop it
                     if held + size <= budget - spare:
                         held += size
-                        rec[2].append((rec[1] - spare, key))
-                        rec[3] = wait_h = len(stack)
-                        rec[4] += size
-                        waiting.append(rec)
+                        closings.append((rec[0] - spare, key))
+                        push((None, rec))
                     else:
-                        held -= rec[4]
+                        held -= sum(c[1][0] for c in closings)  # its closed vertices
+                        rec[1] = None
                 if key >= lo_key:
-                    v = (mu, room - size, key, (key[1], kids), grand, pidx)
+                    v = (mu, room - size, key, (key[1], kids), grand, pidx, prec)
                     i = idx
                     continue
         # a dead end or a solution: undo back to the last alternative
         while stack:
             v, i = pop()
-            if len(stack) < wait_h:  # back inside vertices that closed
-                h = len(stack)
-                while waiting[-1][3] > h:
-                    rec = waiting.pop()
-                    rec[1] = spare
-                    opened.append(rec)
-                wait_h = waiting[-1][3]
-            if i.__class__ is list:  # a replayed repeat: its next closing
-                ci, closings, j, tail = i
-                if j >= 0:
-                    for k, c in closings[j][2]:
-                        left[k] += c
+            if v is None:  # back inside a vertex that closed
+                i[0] = spare
+                continue
+            if i.__class__ is tuple:  # a replayed repeat: its next closing
+                ci, closings, tail, j, pairs = i
+                for k, c in pairs:
+                    left[k] += c
                 j += 1
                 if j == len(closings):
                     if tail > spare:
@@ -388,26 +372,31 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                     left[ci] += 1
                     i = ci + 1
                     break
-                n, key, used = closings[j]
+                n, key = closings[j]
                 if n > spare:
                     spare = 0
                     status = "budget_exhausted"
                     break
                 spare -= n
-                for k, c in used:
+                pairs = below.get((key[1], ci))
+                if pairs is None:
+                    base = labels[ci]
+                    pairs = below[key[1], ci] = tuple(
+                        (bisect_left(labels, base + e, ci), c)
+                        for e, c in avalanche_poly(parse_tree(key[1])).items()
+                    )
+                for k, c in pairs:
                     left[k] -= c
-                i[2] = j
-                push((v, i))
-                mu, room, lo_key, kids, grand, pidx = v
+                push((v, (ci, closings, tail, j, pairs)))
+                mu, room, lo_key, kids, grand, pidx, prec = v
                 if key >= lo_key:
-                    v = (mu, room - key[0], key, (key[1], kids), grand, pidx)
+                    v = (mu, room - key[0], key, (key[1], kids), grand, pidx, prec)
                     i = ci
                     break
                 continue
-            if i >= 0:
-                rec = opened[-1]
-                if rec[0] is v:  # the vertex is undone: keep its record
-                    opened.pop()
+            if i.__class__ is list:  # the open: the vertex is undone for good
+                mark, closings, i = i
+                if closings is not None:  # file its record
                     r = labels[i] - v[0] - 1
                     end = bisect_right(labels, labels[i] + r * (r + 1) // 2, i + 1)
                     # the records hold no more than the placements made
@@ -422,9 +411,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                         for k in seen[1]:
                             if window[k] > r:
                                 window[k] = r
-                        seen[2][tuple(window)] = (rec[2], rec[1] - spare)
+                        seen[2][tuple(window)] = (closings, mark - spare)
                     else:
-                        held -= rec[4]
+                        held -= sum(c[1][0] for c in closings)  # its closed vertices
                 left[i] += 1
                 i += 1
                 break
@@ -432,7 +421,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
             # left after the leaf's, fits in slot s when labels[j] <= lbl +
             # room - s + 1: undo the leaves from the last such slot on in
             # one step and place label j there, or the whole run if none
-            lbl, room, lo_key, kids, parent, idx = v
+            lbl, room, lo_key, kids, parent, idx, rec = v
             k = -i
             i = idx + 1
             j = i + 1
@@ -447,7 +436,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
             left[i] += k - s + 1
             if s > 1:  # leaves 1..s-1 stay, as a shorter run
                 push((v, 1 - s))
-                v = (lbl, room - s + 1, lo_key, kids, parent, idx)
+                v = (lbl, room - s + 1, lo_key, kids, parent, idx, rec)
             i = j
             break
         else:
@@ -459,30 +448,6 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     for tree in solutions:
         assert avalanche_poly(tree) == poly
     return InverseResult(status, solutions, budget - spare)
-
-
-def _labels_below(enc: str, label: int, index: dict) -> tuple:
-    """(index in `labels`, count) of the labels of the vertices below the
-    root of the encoding `enc`, whose root is labeled `label`."""
-    size = {}
-    opens = []
-    for j, ch in enumerate(enc):
-        if ch == "(":
-            opens.append(j)
-        else:
-            o = opens.pop()
-            size[o] = (j - o + 1) // 2
-    counts = {}
-    up = [label]
-    for j, ch in enumerate(enc):
-        if ch == "(":
-            if j:
-                lbl = up[-1] + size[j]
-                counts[lbl] = counts.get(lbl, 0) + 1
-                up.append(lbl)
-        else:
-            up.pop()
-    return tuple((index[lbl], c) for lbl, c in counts.items())
 
 
 # ---------------------------------------------------------------------------

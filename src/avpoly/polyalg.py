@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["Poly", "Series", "catalan", "catalan_series"]
+__all__ = ["Poly", "Series", "catalan"]
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +296,3 @@ class Series:
     def __repr__(self) -> str:
         inner = ", ".join(f"[t^{p}] {c.to_text()}" for p, c in enumerate(self.coeffs))
         return f"Series(order={self.order}: {inner})"
-
-
-def catalan_series(order: int) -> Series:
-    """The Catalan generating function sum C_k t^k, truncated at `order`."""
-    return Series(order, (Poly({0: catalan(k)}) for k in range(order + 1)))

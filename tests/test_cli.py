@@ -1,6 +1,7 @@
 """CLI surface: outputs, exit codes, round-trips, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -348,6 +349,24 @@ def test_invert_general_finds_deep_and_wide_trees(capsys, encoding):
     # so neither a long path nor a wide fan reaches the recursion limit
     poly_json = json.dumps(avalanche_poly(parse_tree(encoding)).to_pairs())
     assert run(capsys, "invert", poly_json, "--general") == (0, encoding + "\n", "")
+
+
+def test_invert_general_matches_the_benchmark_golden_outputs(capsys, monkeypatch):
+    # every `invert --general` job the benchmark can run, against the exit
+    # code and stdout hash it recorded in perfbench/golden.json
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    golden = json.loads((bench / "golden.json").read_text())["jobs"]
+    jobs = [job for job in workloads.universe("inverse") if "--general" in job.args]
+    assert len(jobs) == 52
+    for job in jobs:
+        code, out, _ = run(capsys, *job.args)
+        expected = golden[job.key]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            expected["exit"], expected["stdout_sha256"]
+        ), job.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avpoly import polyalg
-from avpoly.polyalg import Poly, Series, catalan, catalan_series
+from avpoly.polyalg import Poly, Series, catalan
 
 
 def catalan_by_convolution(upto):
@@ -177,15 +177,15 @@ def test_series_mul_examples():
 
 def test_series_catalan_square():
     # C(t)^2 = (C(t)-1)/t termwise: coefficients C_1, C_2, C_3
-    c2 = catalan_series(2)
+    c2 = series_of(2, "1", "1", "2")
     assert c2 * c2 == series_of(2, "1", "2", "5")
 
 
 def test_series_order_mismatch():
     with pytest.raises(ValueError):
-        catalan_series(2) * catalan_series(3)
+        series_of(2, "1", "1", "2") * series_of(3, "1", "1", "2", "5")
     with pytest.raises(ValueError):
-        catalan_series(2) + catalan_series(3)
+        series_of(2, "1", "1", "2") + series_of(3, "1", "1", "2", "5")
 
 
 def test_series_substitute_qt():
