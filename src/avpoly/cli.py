@@ -37,12 +37,12 @@ import sys
 from . import distribution as dist
 from . import inverse as inv
 from .polyalg import Poly, exact_int
-from .tree import LabeledTree, TreeParseError, label_tree, parse_tree
+from .tree import TreeParseError, avalanche_poly, parse_tree
 
 # Largest size the recurrence and closed-form commands accept. Measured on
-# a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 6.2-7.4 s and
-# 90 MB peak RSS, `curve --n` 5.9-6.2 s and 90 MB, `dist --n --method
-# closed` 12-15 s and 109 MB, and `checkfe --order` 9.5-11.5 s and 189 MB;
+# a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 4.7-6.9 s and
+# 55 MB peak RSS, `curve --n` 5.0-6.7 s and 55 MB, `dist --n --method
+# closed` 12-15 s and 109 MB, and `checkfe --order` 9.1-11.3 s and 118 MB;
 # cost grows faster than n^4.
 RECURRENCE_CAP = 200
 
@@ -99,20 +99,6 @@ def _emit(text: str, out_path: str | None) -> int:
     return 0
 
 
-def _annotated_encoding(node: LabeledTree) -> str:
-    out = []
-    stack: list = [node]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            out.append(")")
-        else:
-            out.append(f"({item.label}")
-            stack.append(None)
-            stack.extend(reversed(item.children))
-    return "".join(out)
-
-
 def _json(text: str):
     """json.loads, with nesting too deep for the decoder as ValueError."""
     try:
@@ -138,11 +124,24 @@ def cmd_label(args) -> int:
         tree = parse_tree(args.encoding)
     except TreeParseError as exc:
         return _fail(str(exc), 2)
-    labeled = label_tree(tree)
-    poly = Poly(labeled.label_counts())
-    print(_annotated_encoding(labeled))
-    print("labels: " + ",".join(str(x) for x in labeled.preorder_labels()))
-    print("polynomial: " + poly.to_text())
+    # one preorder walk gives the labeled encoding and the labels; a child
+    # is labeled its parent's label plus its subtree's size
+    out, labels = [], []
+    stack = [(tree, 0)]
+    while stack:
+        item = stack.pop()
+        if item is None:  # the subtree of an open vertex ends
+            out.append(")")
+            continue
+        node, label = item
+        text = str(label)
+        labels.append(text)
+        out.append("(" + text)
+        stack.append(None)
+        stack.extend([(child, label + child.size) for child in reversed(node.children)])
+    print("".join(out))
+    print("labels: " + ",".join(labels))
+    print("polynomial: " + avalanche_poly(tree).to_text())
     return 0
 
 

@@ -42,7 +42,8 @@ overflows into the next one:
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter, mul
+from collections.abc import Iterator
+from operator import itemgetter
 
 from .polyalg import Poly, catalan
 from .tree import enumerate_trees
@@ -142,26 +143,32 @@ def distribution_by_enumeration(n: int) -> DistributionRecord:
     return DistributionRecord(n, _unpack(total, width, 1), "enumeration")
 
 
-def _recurrence_rows(n: int) -> tuple[int, list[int]]:
-    """Field width W/8 and the packed rows D_0..D_n (format in
-    `recurrence_polys`). Since C(t)(1 - t C(t)) = 1, the series identity
-    reduces to the single sum
+def _recurrence_rows(n: int) -> tuple[int, Iterator[int]]:
+    """Field width W/8 and an iterator over the packed rows D_0..D_n
+    (format in `recurrence_polys`). Since C(t)(1 - t C(t)) = 1, the
+    series identity reduces to the single sum
 
         A_m = q sum_{k<m} C_{m-k} q^k (C_k + A_k) = sum_{k<m} C_{m-k} D_k,
 
-    one small-by-big multiply and add per k; the finished row
-    C_m + A_m is shifted once, into D_m.
+    one small-by-big multiply and add per k, pushed into the pending sum
+    of row m as soon as D_k is made, so no finished row is kept. The
+    finished row C_m + A_m is shifted once, into D_m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    cat = [catalan(k) for k in range(n + 1)]
     width = _field_bytes(n)
-    w = 8 * width
-    rows = [1 << w]
-    for m in range(1, n + 1):
-        # cat[m:0:-1] pairs C_{m-k} with D_k for k = 0..m-1
-        rows.append(sum(map(mul, cat[m:0:-1], rows), cat[m]) << (w * (m + 1)))
-    return width, rows
+    return width, _push_rows(n, 8 * width)
+
+
+def _push_rows(n: int, w: int) -> Iterator[int]:
+    cat = [catalan(k) for k in range(n + 1)]
+    pending = [0] * (n + 1)  # pending[m] = sum of C_{m-k} D_k over the rows k made
+    for m in range(n + 1):
+        row = (pending[m] + cat[m]) << (w * (m + 1))
+        pending[m] = 0
+        for j in range(1, n - m + 1):
+            pending[m + j] += cat[j] * row
+        yield row
 
 
 def _unpack(row: int, width: int, skip: int) -> Poly:
@@ -193,13 +200,15 @@ def recurrence_polys(n: int) -> list[Poly]:
     the same rows without unpacking them.
     """
     width, rows = _recurrence_rows(n)
-    return [_unpack(rows[k], width, k + 2) for k in range(n + 1)]
+    return [_unpack(row, width, k + 2) for k, row in enumerate(rows)]
 
 
 def distribution_by_recurrence(n: int) -> DistributionRecord:
-    """The size-n polynomial from the packed table; unpacks row n only."""
+    """The size-n polynomial from the packed rows; keeps and unpacks row n only."""
     width, rows = _recurrence_rows(n)
-    return DistributionRecord(n, _unpack(rows[n], width, n + 2), "recurrence")
+    for row in rows:
+        pass
+    return DistributionRecord(n, _unpack(row, width, n + 2), "recurrence")
 
 
 def _closed_form_coefficients(n: int) -> list[int]:
@@ -396,10 +405,9 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
         raise ValueError("order must be >= 1")
     cat = [catalan(k) for k in range(order + 1)]
     if polys is None:
-        table_width, a = _recurrence_rows(order)
+        table_width, rows = _recurrence_rows(order)
         width = max(table_width, _field_bytes(order))
-        for k in range(order + 1):
-            a[k] = _restride(a[k], table_width, width, k + 2)
+        a = (_restride(row, table_width, width, k + 2) for k, row in enumerate(rows))
     else:
         polys = polys[: order + 1]
         if len(polys) != order + 1:
@@ -412,10 +420,13 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
         width = bound.bit_length() // 8 + 1
         a = [_pack(poly, width) for poly in polys]
     w = 8 * width
-    terms = [((cat[j] + a[j]) << (w * (j + 1))) + a[j] for j in range(order)]
-    for p in range(order + 1):
-        if a[p] != sum(cat[p - 1 - j] * terms[j] for j in range(p)):
+    # order p reads A_p and the terms of the rows before it, so each A_j is
+    # kept only as its term q^(j+1) (C_j + A_j) + A_j
+    terms = []
+    for p, a_p in enumerate(a):
+        if a_p != sum(cat[p - 1 - j] * term for j, term in enumerate(terms)):
             return p
+        terms.append(((cat[p] + a_p) << (w * (p + 1))) + a_p)
     return None
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,71 @@ def test_label_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "label", "(()")
     assert code == 2
     assert "position" in err
+
+
+def _label_oracle(encoding: str) -> str:
+    """The three lines `label` prints, from a scan of the encoding alone:
+    the vertex opened at index i has (j - i + 1) / 2 vertices when its
+    ')' is at j, and is labeled its parent's label plus that count."""
+    size, opens = {}, []
+    for j, ch in enumerate(encoding):
+        if ch == "(":
+            opens.append(j)
+        else:
+            i = opens.pop()
+            size[i] = (j - i + 1) // 2
+    annotated, labels, counts, open_labels = [], [], {}, []
+    for j, ch in enumerate(encoding):
+        if ch == ")":
+            open_labels.pop()
+            annotated.append(")")
+            continue
+        label = open_labels[-1] + size[j] if open_labels else 0
+        if open_labels:
+            counts[label] = counts.get(label, 0) + 1
+        open_labels.append(label)
+        annotated.append(f"({label}")
+        labels.append(str(label))
+    terms = [f"q^{e}" if counts[e] == 1 else f"{counts[e]}*q^{e}" for e in sorted(counts)]
+    return "\n".join(["".join(annotated), "labels: " + ",".join(labels), "polynomial: " + (" + ".join(terms) or "0")]) + "\n"
+
+
+def _random_encoding(rng, edges: int) -> str:
+    # vertex v hangs below v - 1 with probability p, else below a uniform
+    # earlier vertex, so p near 1 gives deep trees and near 0 bushy ones
+    p = rng.random()
+    children = [[] for _ in range(edges + 1)]
+    for v in range(1, edges + 1):
+        children[v - 1 if rng.random() < p else rng.randrange(v)].append(v)
+    out, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        if v is None:
+            out.append(")")
+        else:
+            out.append("(")
+            stack.append(None)
+            stack.extend(reversed(children[v]))
+    return "".join(out)
+
+
+def _all_encodings(edges: int) -> list[str]:
+    # Dyck words: no prefix closes more than it opens, or opens more than `edges`
+    words = [""]
+    for _ in range(2 * edges):
+        words = [w + c for w in words for c in "()" if (w + c).count(")") <= (w + c).count("(") <= edges]
+    return ["(" + w + ")" for w in words]
+
+
+def test_label_output_matches_an_independent_scan_of_the_encoding(capsys):
+    rng = random.Random("label-oracle")
+    encodings = [enc for e in range(8) for enc in _all_encodings(e)]
+    assert len(encodings) == 626  # C_0 + ... + C_7
+    encodings += [_random_encoding(rng, rng.randint(1, 300)) for _ in range(200)]
+    encodings += ["(" * 10001 + ")" * 10001, "(" + "()" * 60000 + ")"]
+    for enc in encodings:
+        code, out, err = run(capsys, "label", enc)
+        assert (code, out, err) == (0, _label_oracle(enc), ""), enc[:60]
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +591,36 @@ def test_checkfe_small_orders(capsys):
 
 def test_checkfe_rejects_bad_order(capsys):
     assert run(capsys, "checkfe", "--order", "0")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+#  package exports
+# ---------------------------------------------------------------------------
+
+# the names `avpoly` exported before it re-exported each module's __all__
+EXPORTED = {
+    "polyalg": "Poly Series catalan",
+    "tree": "PlaneTree LabeledTree TreeParseError parse_tree label_tree avalanche_poly enumerate_trees dyck_words",
+    "distribution": (
+        "DistributionRecord MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
+        "distribution_by_enumeration distribution_by_recurrence distribution_by_closed_form "
+        "recurrence_polys closed_coefficient first_moment_total mean_exact variance_exact "
+        "moment_report functional_equation_mismatch verify_functional_equation normalized_curve"
+    ),
+    "inverse": (
+        "ThreePartitionInstance InverseResult InstanceValidationError PartitionError ExtractionError "
+        "DEFAULT_BUDGET validate_instance solve_height2 solve_general scaled_reduction_poly "
+        "reduction_poly build_reduction_tree extract_partition"
+    ),
+}
+
+
+def test_package_exports_each_module_public_names():
+    modules = [getattr(avpoly, name) for name in EXPORTED]
+    assert avpoly.__all__ == [name for module in modules for name in module.__all__]
+    for module, names in zip(modules, EXPORTED.values()):
+        for name in names.split():
+            assert getattr(avpoly, name) is getattr(module, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,7 @@ def test_packed_series_check_matches_the_polynomial_override():
     polys = recurrence_polys(40)
     for k in range(1, 41):
         width, rows = distribution._recurrence_rows(k)
+        rows = list(rows)
         for new_width in (width, width + 3):
             assert [distribution._restride(row, width, new_width, j + 2) for j, row in enumerate(rows)] == [
                 distribution._pack(poly, new_width) for poly in polys[: k + 1]
@@ -422,6 +423,7 @@ def test_packed_series_check_detects_a_corrupted_table_row(monkeypatch, corrupt,
 
     def corrupted(n):
         width, rows = real(n)
+        rows = list(rows)
         w = 8 * width
         rows[row] = corrupt(rows[row], w, w * (row + 1 + e))  # D_k holds A_k[e] in field k+1+e
         return width, rows
