@@ -58,13 +58,11 @@ __all__ = [
     "distribution_by_recurrence",
     "distribution_by_closed_form",
     "recurrence_polys",
-    "closed_coefficient",
     "first_moment_total",
     "mean_exact",
     "variance_exact",
     "moment_report",
     "functional_equation_mismatch",
-    "verify_functional_equation",
     "normalized_curve",
     "curve_csv_lines",
 ]
@@ -227,7 +225,9 @@ def _closed_form_coefficients(n: int) -> list[int]:
 
     g[p] holds the dense coefficients of F_p / q^p, of degree p(p-1)/2.
     That is O(n^2) scaled additions of coefficient lists, O(n^4) integer
-    operations, and no use of the recurrence.
+    operations. F_p is the recurrence's row D_{p-1} (ROADMAP direction 3)
+    on dense lists instead of packed ints, so agreeing with the
+    recurrence checks the packing, not the mathematics.
     """
     cat = [catalan(k) for k in range(n + 1)]
     g: list[list[int]] = [[]]
@@ -244,21 +244,6 @@ def _closed_form_coefficients(n: int) -> list[int]:
         for e, v in enumerate(acc, p):
             total[e] += c * v
     return total
-
-
-def closed_coefficient(n: int, v: int) -> int:
-    """Coefficient of q^v in the size-n distribution by the closed
-    formula (see `_closed_form_coefficients`): the sum over strictly
-    increasing positive sequences p_1 < ... < p_k <= n with sum v of
-    C_{p_1-1} * prod C_{p_i - p_{i-1}} * C_{n - p_k + 1}.
-
-    Out-of-range v yields 0.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if v < 1 or v > n * (n + 1) // 2:
-        return 0
-    return _closed_form_coefficients(n)[v]
 
 
 def distribution_by_closed_form(n: int) -> DistributionRecord:
@@ -430,10 +415,6 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
     return None
 
 
-def verify_functional_equation(order: int) -> bool:
-    return functional_equation_mismatch(order) is None
-
-
 # ---------------------------------------------------------------------------
 #  Renormalized curve
 # ---------------------------------------------------------------------------
@@ -450,10 +431,15 @@ def normalized_curve(n: int) -> list[CurvePoint]:
     return [CurvePoint(i / n, c / cn) for i, c in poly.terms()]
 
 
+# No double has more significant digits (the largest subnormal has 767);
+# "g" prints the same text at any higher precision, after a buffer that big
+MAX_DOUBLE_DIGITS = 767
+
+
 def format_float(v: float, precision: int) -> str:
     """Decimal text with `precision` significant digits, always keeping
     a decimal point (gnuplot- and spreadsheet-friendly)."""
-    s = f"{v:.{precision}g}"
+    s = f"{v:.{min(precision, MAX_DOUBLE_DIGITS)}g}"
     if "e" not in s and "." not in s:
         s += ".0"
     return s

@@ -3,15 +3,16 @@
 `solve_height2` is the greedy linear reconstruction for trees of height
 at most 2. `solve_general` is an exhaustive budgeted backtracking search
 over canonical trees (children sorted by subtree size, then encoding);
-it is iterative, one loop over an explicit stack of choice points, runs
-on parenthesis encodings and builds trees only for solutions. A vertex's
-leaves come first among its children, so the search places them as one
-run, a single step and a single choice point however many leaves it
-holds, and undoes a run's leaves together; it still counts, and visits
-in the same order, one placement per leaf. It records the finished
-sub-search below each vertex, the subtrees it closed into and the
-placements made before each, and a repeat of it replays the record
-instead of being searched again.
+it is iterative, one loop over an explicit stack of choice points, and
+runs on parenthesis encodings. A vertex's leaves come first among its
+children, so the search places them as one run, a single step and a
+single choice point however many leaves it holds, and undoes a run's
+leaves together; it still counts, and visits in the same order, one
+placement per leaf. It records the finished sub-search below each
+vertex, the subtrees it closed into and the placements made before
+each, and a repeat of it replays the record instead of being searched
+again. It builds trees for its solutions and for the closings a replay
+offers, whose labels it reads from the subtree's `avalanche_poly`.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
@@ -162,7 +163,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     depth first and backtracks through an explicit stack of choice
     points, so neither the depth nor the width of a tree is bounded by
     the interpreter's recursion limit. It runs on parenthesis encodings
-    and builds a `PlaneTree` only for each solution. Returns all
+    and builds a `PlaneTree` for each solution, and for each closing a
+    replay offers: it parses the closing's subtree and takes its
+    avalanche polynomial, once per (encoding, label index). Returns all
     solutions when the search space closes; `budget_exhausted` reports
     any trees found before the cutoff. `attempts` counts the placements
     made.

@@ -94,16 +94,6 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by q^k: every exponent increases by k."""
-        if k < 0:
-            raise ValueError("shift: k must be >= 0")
-        if k == 0 or not self._c:
-            return self
-        out = Poly()
-        out._c = {e + k: c for e, c in self._c.items()}
-        return out
-
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
@@ -139,8 +129,6 @@ class Poly:
             out._c = acc
             return out
         return NotImplemented
-
-    __rmul__ = __mul__
 
     # -- identity ----------------------------------------------------------
 
@@ -225,7 +213,8 @@ def exact_int(value) -> int:
 class Series:
     """Series in t truncated at a fixed order; coefficient of t^p is a Poly.
 
-    Every binary operation requires equal truncation orders.
+    Every binary operation requires equal truncation orders. No command
+    uses it; the benchmark's tracer wraps `__mul__` (ROADMAP direction 2).
     """
 
     __slots__ = ("order", "coeffs")
@@ -248,12 +237,6 @@ class Series:
                 f"series order mismatch: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(
-            self.order, (a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __mul__(self, other: "Series") -> "Series":
         """Cauchy product truncated at the common order."""
         if not isinstance(other, Series):
@@ -268,20 +251,6 @@ class Series:
                     acc = acc + a * b
             out.append(acc)
         return Series(self.order, out)
-
-    def substitute_qt(self) -> "Series":
-        """Formal substitution t -> qt: coefficient of t^p gains a factor q^p."""
-        return Series(
-            self.order, (c.shift(p) for p, c in enumerate(self.coeffs))
-        )
-
-    def shift_t(self) -> "Series":
-        """Multiply by t, truncating at the order."""
-        return Series(self.order, (Poly(),) + self.coeffs[:-1])
-
-    def times_q(self) -> "Series":
-        """Multiply every coefficient by q."""
-        return Series(self.order, (c.shift(1) for c in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (

@@ -3,8 +3,8 @@ avalanche polynomials, and exhaustive enumeration.
 
 A tree is encoded as "(" + child encodings + ")", so the single vertex
 is "()" and a root with two leaf children is "(()())". Parsing,
-encoding, labeling, `avalanche_poly` and `enumerate_trees` are
-iterative, so deep path trees do not hit the recursion limit.
+encoding, `avalanche_poly` and `enumerate_trees` are iterative, so
+deep path trees do not hit the recursion limit.
 Trees are immutable, so code that builds one may use one object for many
 children, as the inverse solvers and `parse_tree` (for every leaf) do.
 `encode` and `avalanche_poly` treat a run of consecutive children that
@@ -31,7 +31,6 @@ __all__ = [
     "LabeledTree",
     "TreeParseError",
     "parse_tree",
-    "label_tree",
     "avalanche_poly",
     "enumerate_trees",
     "dyck_words",
@@ -143,7 +142,8 @@ def parse_tree(text: str) -> PlaneTree:
 class LabeledTree:
     """A vertex with its avalanche label and labeled children.
 
-    Built by label_tree; treat as read-only.
+    No command builds one; the benchmark's tracer wraps `preorder_labels`
+    and `label_counts` (ROADMAP direction 2).
     """
 
     __slots__ = ("label", "children")
@@ -170,21 +170,6 @@ class LabeledTree:
 
     def __repr__(self) -> str:
         return f"LabeledTree(label={self.label}, children={len(self.children)})"
-
-
-def label_tree(t: PlaneTree) -> LabeledTree:
-    """Label the root 0 and each child with its parent's label plus the
-    vertex count of the child's maximal subtree."""
-    root = LabeledTree(0)
-    stack = [(t, root)]
-    while stack:
-        plane, labeled = stack.pop()
-        mu = labeled.label
-        for child in plane.children:
-            node = LabeledTree(mu + child.size)
-            labeled.children.append(node)
-            stack.append((child, node))
-    return root
 
 
 def avalanche_poly(t: PlaneTree) -> Poly:

@@ -308,6 +308,24 @@ def test_curve_precision_cap(capsys):
         assert err == f"avpoly: error: --precision exceeds {PRECISION_CAP}\n"
 
 
+def test_curve_precision_cap_under_a_1gib_address_space():
+    # formatting at the cap itself asked for a 2 GiB buffer, a MemoryError
+    # (exit 1) under this limit
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    argv = [sys.executable, "-m", "avpoly", "curve", "--n", "3", "--precision", str(PRECISION_CAP)]
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    runs = [
+        subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=fn)
+        for fn in (None, limit)
+    ]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, ""), (0, "")]
+    assert runs[1].stdout == runs[0].stdout
+
+
 def test_curve_n60_peak_row(capsys):
     from fractions import Fraction
 
@@ -597,15 +615,15 @@ def test_checkfe_rejects_bad_order(capsys):
 #  package exports
 # ---------------------------------------------------------------------------
 
-# the names `avpoly` exported before it re-exported each module's __all__
+# each module's public names, which `avpoly` re-exports
 EXPORTED = {
     "polyalg": "Poly Series catalan",
-    "tree": "PlaneTree LabeledTree TreeParseError parse_tree label_tree avalanche_poly enumerate_trees dyck_words",
+    "tree": "PlaneTree LabeledTree TreeParseError parse_tree avalanche_poly enumerate_trees dyck_words",
     "distribution": (
         "DistributionRecord MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
         "distribution_by_enumeration distribution_by_recurrence distribution_by_closed_form "
-        "recurrence_polys closed_coefficient first_moment_total mean_exact variance_exact "
-        "moment_report functional_equation_mismatch verify_functional_equation normalized_curve"
+        "recurrence_polys first_moment_total mean_exact variance_exact "
+        "moment_report functional_equation_mismatch normalized_curve"
     ),
     "inverse": (
         "ThreePartitionInstance InverseResult InstanceValidationError PartitionError ExtractionError "
@@ -621,6 +639,22 @@ def test_package_exports_each_module_public_names():
     for module, names in zip(modules, EXPORTED.values()):
         for name in names.split():
             assert getattr(avpoly, name) is getattr(module, name), name
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    # perfbench/tracer.py wraps these by name, and a missing one fails
+    # every traced run; the dicts are only read, nothing is wrapped
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import tracer
+
+    for mod, cls, attr in [*tracer.METHODS, *tracer.COUNTED]:
+        module = getattr(avpoly, mod)
+        if cls is None:
+            assert callable(getattr(module, attr)), (mod, attr)
+        else:
+            # the tracer reads the attribute from the class's own namespace
+            assert callable(vars(getattr(module, cls)).get(attr)), (mod, cls, attr)
 
 
 # ---------------------------------------------------------------------------

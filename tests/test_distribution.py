@@ -16,7 +16,6 @@ from avpoly.distribution import (
     DistributionRecord,
     EnumerationCapExceeded,
     MomentReport,
-    closed_coefficient,
     curve_csv_lines,
     distribution_by_closed_form,
     distribution_by_enumeration,
@@ -29,7 +28,6 @@ from avpoly.distribution import (
     normalized_curve,
     recurrence_polys,
     variance_exact,
-    verify_functional_equation,
 )
 from avpoly.polyalg import Poly, catalan
 from avpoly.tree import avalanche_poly, enumerate_trees
@@ -88,14 +86,15 @@ def test_enumeration_cap_refusal():
 
 def test_closed_coefficient_examples():
     for n in (3, 7, 20):
-        assert closed_coefficient(n, 1) == catalan(n)
-        assert closed_coefficient(n, 2) == catalan(n - 1)
-    assert closed_coefficient(3, 3) == 4
+        closed = distribution_by_closed_form(n).poly
+        assert closed.coeff(1) == catalan(n)
+        assert closed.coeff(2) == catalan(n - 1)
+    assert distribution_by_closed_form(3).poly.coeff(3) == 4
     # out of range is 0, not an error
-    assert closed_coefficient(5, 0) == 0
-    assert closed_coefficient(5, 16) == 0
+    closed = distribution_by_closed_form(5).poly
+    assert closed.coeff(0) == closed.coeff(16) == 0
     with pytest.raises(ValueError):
-        closed_coefficient(0, 1)
+        distribution_by_closed_form(0)
 
 
 def closed_formula_by_subsets(n: int) -> dict[int, int]:
@@ -114,8 +113,9 @@ def closed_formula_by_subsets(n: int) -> dict[int, int]:
 def test_closed_coefficient_matches_subset_sum():
     for n in range(1, 13):
         oracle = closed_formula_by_subsets(n)
+        closed = distribution_by_closed_form(n).poly
         for v in range(-1, n * (n + 1) // 2 + 2):
-            assert closed_coefficient(n, v) == oracle.get(v, 0), (n, v)
+            assert closed.coeff(v) == oracle.get(v, 0), (n, v)
 
 
 def test_closed_form_matches_recurrence():
@@ -341,9 +341,9 @@ def test_mean_closed_form_identity():
 
 
 def test_functional_equation_holds():
-    assert verify_functional_equation(1)
-    assert verify_functional_equation(2)
-    assert verify_functional_equation(20)
+    assert functional_equation_mismatch(1) is None
+    assert functional_equation_mismatch(2) is None
+    assert functional_equation_mismatch(20) is None
     assert functional_equation_mismatch(12) is None
 
 
@@ -506,3 +506,13 @@ def test_format_float():
     assert format_float(0.5, 12) == "0.5"
     assert format_float(2 / 3, 5) == "0.66667"
     assert format_float(1.23e-7, 6) == "1.23e-07"
+
+
+# the least positive double, the largest subnormal (767 significant
+# digits), the largest double and two common values
+@pytest.mark.parametrize(
+    "v", [5e-324, sys.float_info.min - 5e-324, sys.float_info.max, 0.1, 1 / 3]
+)
+def test_format_float_above_the_digits_of_a_double_prints_the_same(v):
+    assert f"{v:.767g}" == f"{v:.{10**5}g}"
+    assert format_float(v, 767) == format_float(v, 10**5)

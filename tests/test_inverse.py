@@ -557,13 +557,10 @@ def test_build_reduction_tree():
     tree = build_reduction_tree(INST, [[1, 2, 3]])
     assert tree.size == 106
     assert avalanche_poly(tree) == reduction_poly(INST)
-    labeled_children = [INST.lam * INST.C + 1]
-    from avpoly.tree import label_tree
-
-    lt = label_tree(tree)
-    assert [c.label for c in lt.children] == labeled_children
+    # a root child's label is its subtree size
+    assert [c.size for c in tree.children] == [INST.lam * INST.C + 1]
     # height-2 vertices carry lam*a_i - 1 leaves
-    leaf_counts = sorted(len(g.children) for g in lt.children[0].children)
+    leaf_counts = sorted(len(g.children) for g in tree.children[0].children)
     assert leaf_counts == [27, 35, 39]
 
 

@@ -14,7 +14,6 @@ from avpoly.tree import (
     avalanche_poly,
     dyck_words,
     enumerate_trees,
-    label_tree,
     parse_tree,
 )
 
@@ -89,7 +88,7 @@ def test_deep_path_does_not_recurse():
     t = parse_tree(deep)
     assert t.size == 5000
     assert t.encode() == deep
-    assert label_tree(t).preorder_labels()[-1] == 4999 * 5000 // 2
+    assert avalanche_poly(t).degree() == 4999 * 5000 // 2
 
 
 def test_path_of_1e5_edges_encodes_without_recursion():
@@ -190,46 +189,6 @@ def test_shared_tree_encoding_and_polynomial(t):
     parsed = parse_tree(text)  # its leaves form runs of their own
     assert parsed.encode() == text
     assert avalanche_poly(parsed) == avalanche_poly(t)
-
-
-# ---------------------------------------------------------------------------
-#  Labeling
-# ---------------------------------------------------------------------------
-
-
-def test_label_path():
-    assert label_tree(parse_tree("((()))")).preorder_labels() == [0, 2, 3]
-
-
-def test_label_star():
-    assert label_tree(parse_tree("(()()())")).preorder_labels() == [0, 1, 1, 1]
-
-
-def test_label_fig1_multiset():
-    counts = label_tree(parse_tree(FIG1)).label_counts()
-    assert counts == {5: 1, 6: 2, 7: 3, 8: 3, 9: 2, 10: 4, 11: 4}
-
-
-def test_label_child_minus_parent_is_subtree_size():
-    t = parse_tree(FIG1)
-    lt = label_tree(t)
-    stack = [(t, lt)]
-    while stack:
-        plane, labeled = stack.pop()
-        for pc, lc in zip(plane.children, labeled.children):
-            assert lc.label - labeled.label == pc.size
-            stack.append((pc, lc))
-
-
-def test_labels_increase_along_root_to_leaf_paths():
-    for n in range(11):
-        for t in enumerate_trees(n):
-            stack = [(label_tree(t), -1)]
-            while stack:
-                node, parent_label = stack.pop()
-                assert node.label > parent_label
-                for c in node.children:
-                    stack.append((c, node.label))
 
 
 # ---------------------------------------------------------------------------
