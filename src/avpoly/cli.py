@@ -78,7 +78,9 @@ def _fail(message: str, code: int) -> int:
 
 
 def _emit(text: str, out_path: str | None) -> int:
-    """Print to stdout, or write atomically to a file."""
+    """Print to stdout, or write atomically to a file. The file gets the
+    mode a shell redirect would give it: the mode of the file it replaces,
+    or 0o666 less the umask for a new one."""
     if out_path is None:
         print(text)
         return 0
@@ -90,6 +92,13 @@ def _emit(text: str, out_path: str | None) -> int:
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text + "\n")
+            try:
+                mode = os.stat(out_path).st_mode & 0o7777
+            except FileNotFoundError:
+                umask = os.umask(0)  # the only way to read it; put back at once
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.chmod(tmp, mode)  # mkstemp makes the file 0o600
             os.replace(tmp, out_path)
         except BaseException:
             os.unlink(tmp)

@@ -347,16 +347,12 @@ def _pack(poly: Poly, width: int) -> int:
 def _restride(row: int, width: int, new_width: int, skip: int) -> int:
     """The fields of `row` >= 0 (`width` bytes each) from field `skip` on,
     moved to fields 1, 2, ... of `new_width` >= `width` bytes: the
-    exponents `_unpack` gives them. At a new width, one strided byte-slice
-    copy per byte of a field, all in C."""
+    exponents `_unpack` gives them. At a new width, through the polynomial
+    `_unpack` reads: the recurrence table already has the check's width,
+    so only a narrower table passed in its place comes this way."""
     if new_width == width:
         return (row >> (8 * width * skip)) << (8 * width)
-    fields = max(-(-row.bit_length() // (8 * width)), skip)
-    data = row.to_bytes(fields * width, "little")
-    out = bytearray((fields - skip + 1) * new_width)
-    for b in range(width):
-        out[new_width + b::new_width] = data[skip * width + b::width]
-    return int.from_bytes(out, "little")
+    return _pack(_unpack(row, width, skip), new_width)
 
 
 def functional_equation_mismatch(order: int, polys=None) -> int | None:

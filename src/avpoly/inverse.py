@@ -152,6 +152,10 @@ def solve_height2(poly: Poly) -> InverseResult:
 # ---------------------------------------------------------------------------
 
 
+class _Exhausted(Exception):
+    """The general search ran out of its budget of placements."""
+
+
 def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     """Exhaustively search for every canonical tree whose avalanche
     polynomial is `poly`, within a budget of vertex placement attempts.
@@ -201,22 +205,24 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     (size, encoding) key, and leaves a mark on the stack of choice
     points, above those made inside the child: popping the mark is the
     re-entry. When the child is undone for good, its open choice point
-    files the record under its key, with the placements made after the
-    last closing; a child that never closed has only those. A later
+    files the record under its key, ending it with one final entry: the
+    placements made after the last closing, with no closing. A later
     open with an equal key counts its own placement and replays the
-    record: each closing is charged its placements, takes the labels it
-    used (its subtree's avalanche polynomial, shifted by L) out of the
-    counts and is offered to the parent, which accepts or rejects it as
-    it would the searched one; backtracking into it puts the labels back
-    and moves on to the next closing. After the last one the search is
-    charged the placements after it and goes on to the next label. A
-    charge larger than what is left in the budget stops the search with
-    `attempts == budget`, where the search below would have stopped. So
-    `attempts`, the budget cutoff and the solutions are those of the
-    search without the record. The records hold no more window counts
-    and closed vertices than the placements made: a closing that would
-    take them past that drops the record of its vertex, and so does a
-    window at the end.
+    record an entry at a time: each is charged its placements, and a
+    closing then takes the labels it used (its subtree's avalanche
+    polynomial, shifted by L) out of the counts and is offered to the
+    parent, which accepts or rejects it as it would the searched one;
+    backtracking into it puts the labels back and moves on to the next
+    entry. The final entry ends the replay; a record that is only that,
+    of a child that never closed, is charged and skipped at the open. A
+    charge larger than what is left in the budget, of a run, a placement
+    or an entry, leaves the search by its one exit with `attempts ==
+    budget`, where the search below would have stopped. So `attempts`,
+    the budget cutoff and the solutions are those of the search without
+    the record. The records hold no more window counts and closed
+    vertices than the placements made: a closing that would take them
+    past that drops the record of its vertex, and so does a window at
+    the end.
     """
     avail = dict(poly.items())
     if any(c < 0 for c in avail.values()):
@@ -251,9 +257,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     #   leaf label lbl + 1 directly follows lbl in `labels`, so its index
     #   is the vertex's + 1;
     # - open: (open vertex, record of the child placed);
-    # - replay: (open vertex, (index of the repeat's label, closings,
-    #   placements after the last, index of the closing offered, its
-    #   (label index, count) pairs));
+    # - replay: (open vertex, (index of the repeat's label, its filed
+    #   record, index of the entry offered, the (label index, count)
+    #   pairs of that entry's closing));
     # - re-entry: (None, record) of a vertex that closed.
     stack = []
     push, pop = stack.append, stack.pop
@@ -264,188 +270,178 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     # can place, each cut to r: the child places at most r vertices, so it
     # cannot tell a count above r from r. `caps` lists the positions in
     # the window of the labels with more than r in all, the only counts
-    # that can exceed r. A record is (closings, placements after the last
-    # one).
+    # that can exceed r. A filed record is the list of its closings
+    # followed by one final entry, (placements after the last closing,
+    # None).
     memo = [{} for _ in labels]
     below = {}  # (encoding, label index) -> the pairs of a replayed closing
     held = 0  # window counts and closed vertices in the records
-    status = None
-    while True:
-        lbl, room, lo_key, kids, parent, idx, rec = v
-        if room:
-            while not left[i]:
-                i += 1
-            child = labels[i]
-            if child <= lbl + room:
-                if child == lbl + 1:  # a run of leaves
-                    k = left[i]
-                    if k > room:
-                        k = room
-                    if k > spare:
-                        spare = 0
-                        status = "budget_exhausted"
-                        break
-                    spare -= k
-                    left[i] -= k
-                    push((v, -k))
-                    v = (lbl, room - k, lo_key, kids, parent, idx, rec)
-                    continue
-                if not spare:
-                    status = "budget_exhausted"
-                    break
-                spare -= 1
-                r = child - lbl - 1
-                seen = memo[i].get(r)
-                kept = None
-                if seen is not None:
-                    end, caps, by_window = seen
-                    window = left[i + 1:end]
-                    for k in caps:
-                        if window[k] > r:
-                            window[k] = r
-                    kept = by_window.get(tuple(window))
-                if kept is None:
+    try:
+        while True:
+            lbl, room, lo_key, kids, parent, idx, rec = v
+            if room:
+                while not left[i]:
+                    i += 1
+                child = labels[i]
+                if child <= lbl + room:
+                    if child == lbl + 1:  # a run of leaves
+                        k = left[i]
+                        if k > room:
+                            k = room
+                        if k > spare:
+                            raise _Exhausted
+                        spare -= k
+                        left[i] -= k
+                        push((v, -k))
+                        v = (lbl, room - k, lo_key, kids, parent, idx, rec)
+                        continue
+                    if not spare:
+                        raise _Exhausted
+                    spare -= 1
+                    r = child - lbl - 1
+                    seen = memo[i].get(r)
+                    kept = None
+                    if seen is not None:
+                        end, caps, by_window = seen
+                        window = left[i + 1:end]
+                        for k in caps:
+                            if window[k] > r:
+                                window[k] = r
+                        kept = by_window.get(tuple(window))
+                    if kept is None:
+                        left[i] -= 1
+                        new = [spare, [], i]
+                        push((v, new))
+                        v = (child, r, (), None, v, i, new)
+                        i += 1
+                        continue
+                    n, key = kept[0]
+                    # a repeat that never closed: charge it and skip it
+                    # here, as a replay would, without its push and pop
+                    # (most lookups)
+                    if key is None:
+                        if n > spare:
+                            raise _Exhausted
+                        spare -= n
+                        i += 1
+                        continue
+                    # the undo below offers the first closing
                     left[i] -= 1
-                    new = [spare, [], i]
-                    push((v, new))
-                    v = (child, r, (), None, v, i, new)
-                    i += 1
-                    continue
-                closings, tail = kept
-                # a repeat that never closed: charge it and skip it here, as
-                # a replay would, without its push and pop (most lookups)
-                if not closings:
-                    if tail > spare:
-                        spare = 0
-                        status = "budget_exhausted"
-                        break
-                    spare -= tail
-                    i += 1
-                    continue
-                # the undo below offers the first closing
-                left[i] -= 1
-                push((v, (i, closings, tail, -1, ())))
-        else:
-            if kids is None:
-                body = ""
+                    push((v, (i, kept, -1, ())))
             else:
                 parts = []
                 while kids:
                     enc, kids = kids
                     parts.append(enc)
                 body = "".join(reversed(parts))
-            if parent is None:
-                found.append(f"({'()' * (total - len(body) // 2)}{body})")
-            else:
-                # close the full vertex into its parent, whose scan for a
-                # next child starts at this vertex's label
-                mu, room, lo_key, kids, grand, pidx, prec = parent
-                size = lbl - mu
-                key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
-                closings = rec[1]
-                if closings is not None:  # add the closing to the record, or drop it
-                    if held + size <= budget - spare:
-                        held += size
-                        closings.append((rec[0] - spare, key))
-                        push((None, rec))
-                    else:
-                        held -= sum(c[1][0] for c in closings)  # its closed vertices
-                        rec[1] = None
-                if key >= lo_key:
-                    v = (mu, room - size, key, (key[1], kids), grand, pidx, prec)
-                    i = idx
+                if parent is None:
+                    found.append(f"({'()' * (total - len(body) // 2)}{body})")
+                else:
+                    # close the full vertex into its parent, whose scan for
+                    # a next child starts at this vertex's label
+                    mu, room, lo_key, kids, grand, pidx, prec = parent
+                    size = lbl - mu
+                    key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
+                    closings = rec[1]
+                    if closings is not None:  # add the closing to the record, or drop it
+                        if held + size <= budget - spare:
+                            held += size
+                            closings.append((rec[0] - spare, key))
+                            push((None, rec))
+                        else:
+                            held -= sum(c[1][0] for c in closings)  # its closed vertices
+                            rec[1] = None
+                    if key >= lo_key:
+                        v = (mu, room - size, key, (key[1], kids), grand, pidx, prec)
+                        i = idx
+                        continue
+            # a dead end or a solution: undo back to the last alternative
+            while stack:
+                v, i = pop()
+                if v is None:  # back inside a vertex that closed
+                    i[0] = spare
                     continue
-        # a dead end or a solution: undo back to the last alternative
-        while stack:
-            v, i = pop()
-            if v is None:  # back inside a vertex that closed
-                i[0] = spare
-                continue
-            if i.__class__ is tuple:  # a replayed repeat: its next closing
-                ci, closings, tail, j, pairs = i
-                for k, c in pairs:
-                    left[k] += c
-                j += 1
-                if j == len(closings):
-                    if tail > spare:
-                        spare = 0
-                        status = "budget_exhausted"
+                if i.__class__ is tuple:  # a replayed repeat: its next entry
+                    ci, record, j, pairs = i
+                    for k, c in pairs:
+                        left[k] += c
+                    j += 1
+                    n, key = record[j]
+                    if n > spare:
+                        raise _Exhausted
+                    spare -= n
+                    if key is None:  # the end of the record
+                        left[ci] += 1
+                        i = ci + 1
                         break
-                    spare -= tail
-                    left[ci] += 1
-                    i = ci + 1
+                    pairs = below.get((key[1], ci))
+                    if pairs is None:
+                        base = labels[ci]
+                        pairs = below[key[1], ci] = tuple(
+                            (bisect_left(labels, base + e, ci), c)
+                            for e, c in avalanche_poly(parse_tree(key[1])).items()
+                        )
+                    for k, c in pairs:
+                        left[k] -= c
+                    push((v, (ci, record, j, pairs)))
+                    mu, room, lo_key, kids, grand, pidx, prec = v
+                    if key >= lo_key:
+                        v = (mu, room - key[0], key, (key[1], kids), grand, pidx, prec)
+                        i = ci
+                        break
+                    continue
+                if i.__class__ is list:  # the open: the vertex is undone for good
+                    mark, closings, i = i
+                    if closings is not None:  # file its record
+                        r = labels[i] - v[0] - 1
+                        end = bisect_right(labels, labels[i] + r * (r + 1) // 2, i + 1)
+                        # the records hold no more than the placements made
+                        if held + end - i - 1 <= budget - spare:
+                            held += end - i - 1
+                            seen = memo[i].get(r)
+                            if seen is None:
+                                caps = [k for k, lb in enumerate(labels[i + 1:end]) if avail[lb] > r]
+                                seen = memo[i][r] = (end, caps, {})
+                            # `left` is back as it was at the open
+                            window = left[i + 1:end]
+                            for k in seen[1]:
+                                if window[k] > r:
+                                    window[k] = r
+                            closings.append((mark - spare, None))
+                            seen[2][tuple(window)] = closings
+                        else:
+                            held -= sum(c[1][0] for c in closings)  # its closed vertices
+                    left[i] += 1
+                    i += 1
                     break
-                n, key = closings[j]
-                if n > spare:
-                    spare = 0
-                    status = "budget_exhausted"
-                    break
-                spare -= n
-                pairs = below.get((key[1], ci))
-                if pairs is None:
-                    base = labels[ci]
-                    pairs = below[key[1], ci] = tuple(
-                        (bisect_left(labels, base + e, ci), c)
-                        for e, c in avalanche_poly(parse_tree(key[1])).items()
-                    )
-                for k, c in pairs:
-                    left[k] -= c
-                push((v, (ci, closings, tail, j, pairs)))
-                mu, room, lo_key, kids, grand, pidx, prec = v
-                if key >= lo_key:
-                    v = (mu, room - key[0], key, (key[1], kids), grand, pidx, prec)
-                    i = ci
-                    break
-                continue
-            if i.__class__ is list:  # the open: the vertex is undone for good
-                mark, closings, i = i
-                if closings is not None:  # file its record
-                    r = labels[i] - v[0] - 1
-                    end = bisect_right(labels, labels[i] + r * (r + 1) // 2, i + 1)
-                    # the records hold no more than the placements made
-                    if held + end - i - 1 <= budget - spare:
-                        held += end - i - 1
-                        seen = memo[i].get(r)
-                        if seen is None:
-                            caps = [k for k, lb in enumerate(labels[i + 1:end]) if avail[lb] > r]
-                            seen = memo[i][r] = (end, caps, {})
-                        # `left` is back as it was at the open
-                        window = left[i + 1:end]
-                        for k in seen[1]:
-                            if window[k] > r:
-                                window[k] = r
-                        seen[2][tuple(window)] = (closings, mark - spare)
-                    else:
-                        held -= sum(c[1][0] for c in closings)  # its closed vertices
-                left[i] += 1
-                i += 1
+                # a run of k leaves in slots 1..k of v. Label j, the first
+                # one left after the leaf's, fits in slot s when labels[j]
+                # <= lbl + room - s + 1: undo the leaves from the last such
+                # slot on in one step and place label j there, or the whole
+                # run if none
+                lbl, room, lo_key, kids, parent, idx, rec = v
+                k = -i
+                i = idx + 1
+                j = i + 1
+                while not left[j]:
+                    j += 1
+                s = lbl + room + 1 - labels[j]
+                if s < 1:
+                    left[i] += k
+                    continue
+                if s > k:
+                    s = k
+                left[i] += k - s + 1
+                if s > 1:  # leaves 1..s-1 stay, as a shorter run
+                    push((v, 1 - s))
+                    v = (lbl, room - s + 1, lo_key, kids, parent, idx, rec)
+                i = j
                 break
-            # a run of k leaves in slots 1..k of v. Label j, the first one
-            # left after the leaf's, fits in slot s when labels[j] <= lbl +
-            # room - s + 1: undo the leaves from the last such slot on in
-            # one step and place label j there, or the whole run if none
-            lbl, room, lo_key, kids, parent, idx, rec = v
-            k = -i
-            i = idx + 1
-            j = i + 1
-            while not left[j]:
-                j += 1
-            s = lbl + room + 1 - labels[j]
-            if s < 1:
-                left[i] += k
-                continue
-            if s > k:
-                s = k
-            left[i] += k - s + 1
-            if s > 1:  # leaves 1..s-1 stay, as a shorter run
-                push((v, 1 - s))
-                v = (lbl, room - s + 1, lo_key, kids, parent, idx, rec)
-            i = j
-            break
-        else:
-            status = "found" if found else "no_tree"
-        if status:
-            break
+            else:
+                break
+        status = "found" if found else "no_tree"
+    except _Exhausted:
+        status, spare = "budget_exhausted", 0
 
     solutions = [parse_tree(enc) for enc in sorted(found)]
     for tree in solutions:

@@ -282,6 +282,24 @@ def test_curve_file_output(capsys, tmp_path):
     assert target.read_text() == "x,y\n0.5,1.0\n1.0,0.5\n1.5,0.5\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_out_file_gets_the_mode_a_shell_redirect_would(capsys, tmp_path):
+    # the file is written through a temporary file, which mkstemp makes 0o600
+    new, old = tmp_path / "new.json", tmp_path / "old.csv"
+    old.write_text("stale\n")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        assert run(capsys, "dist", "--n", "3", "--out", str(new))[0] == 0
+        assert run(capsys, "curve", "--n", "3", "--out", str(old))[0] == 0
+    finally:
+        os.umask(umask)
+    assert new.stat().st_mode & 0o7777 == 0o644
+    assert old.stat().st_mode & 0o7777 == 0o640
+    assert old.read_text().startswith("x,y\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.csv"]
+
+
 def test_curve_unwritable_path_exits_3(capsys, tmp_path):
     code, _, err = run(
         capsys, "curve", "--n", "2", "--out", str(tmp_path / "no" / "curve.csv")
@@ -301,7 +319,9 @@ def test_curve_precision_cap(capsys):
     # traceback (exit 1)
     code, out, _ = run(capsys, "curve", "--n", "3", "--precision", str(PRECISION_CAP))
     assert code == 0
-    assert out.splitlines()[1] == f"{1 / 3:.{PRECISION_CAP}g},1.0"
+    # no double has more than MAX_DOUBLE_DIGITS significant digits, so the
+    # oracle is the same text without the cap's 2 GiB buffer
+    assert out.splitlines()[1] == f"{1 / 3:.{dist.MAX_DOUBLE_DIGITS}g},1.0"
     for precision in (PRECISION_CAP + 1, 10**20):
         code, out, err = run(capsys, "curve", "--n", "3", "--precision", str(precision))
         assert (code, out) == (2, "")
@@ -313,8 +333,12 @@ def test_curve_precision_cap_under_a_1gib_address_space():
     # (exit 1) under this limit
     resource = pytest.importorskip("resource")
 
+    # a hard limit cannot be raised, so keep an inherited one below 1 GiB
+    cap = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2**30 if cap == resource.RLIM_INFINITY else min(2**30, cap)
+
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     argv = [sys.executable, "-m", "avpoly", "curve", "--n", "3", "--precision", str(PRECISION_CAP)]
     env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
