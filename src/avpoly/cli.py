@@ -80,26 +80,31 @@ def _fail(message: str, code: int) -> int:
 def _emit(text: str, out_path: str | None) -> int:
     """Print to stdout, or write atomically to a file. The file gets the
     mode a shell redirect would give it: the mode of the file it replaces,
-    or 0o666 less the umask for a new one."""
+    or 0o666 less the umask for a new one. A symlink is written through,
+    as a redirect would: its target, dangling or not, is replaced in the
+    target's directory and the link stays."""
     if out_path is None:
         print(text)
         return 0
     import tempfile  # only the --out path needs it; kept off the start-up path
 
+    # only a link is resolved: realpath would also drop a trailing "/", and
+    # a path naming a directory must fail as a redirect to it does
+    target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
     try:
-        directory = os.path.dirname(os.path.abspath(out_path))
+        directory = os.path.dirname(os.path.abspath(target))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".avpoly-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text + "\n")
             try:
-                mode = os.stat(out_path).st_mode & 0o7777
+                mode = os.stat(target).st_mode & 0o7777
             except FileNotFoundError:
                 umask = os.umask(0)  # the only way to read it; put back at once
                 os.umask(umask)
                 mode = 0o666 & ~umask
             os.chmod(tmp, mode)  # mkstemp makes the file 0o600
-            os.replace(tmp, out_path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

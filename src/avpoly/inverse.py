@@ -238,19 +238,19 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     spare = budget  # placements left in the budget
     found: list[str] = []
 
-    # The open vertex is a tuple (label, room left for descendants, key of
-    # its last closed child that is not a leaf, encodings of those
-    # children, parent, index of its label in `labels`, record). The
-    # children form a linked list (enc, rest), last child first; before
-    # the first one the key is (), which is below every key. Leaves are
-    # not stored: they come first, and a closing vertex's leaves are the
-    # vertices its other children leave of its size. Vertices are
-    # immutable, so every choice point shares what it saved with the
-    # states that follow it. The record, shared by every state of the
-    # vertex, is [placements left at the open or the last re-entry,
-    # closings or None once dropped, index of its label]; a closing is
-    # (placements before it, key).
-    v = (0, total, (), None, None, -1, None)
+    # The open vertex is a tuple (label, room left for descendants, keys
+    # of its closed children that are not leaves, parent, record). The
+    # keys (size, encoding) form a linked list (key, rest), last child
+    # first, so the head is the key a next child must not be below; None
+    # before the first. Leaves are not stored: they come first, and a
+    # closing vertex's leaves are the vertices its other children leave
+    # of its size. Vertices are immutable, so every choice point shares
+    # what it saved with the states that follow it. The record, shared by
+    # every state of the vertex, is [placements left at the open or the
+    # last re-entry, closings or None once dropped, index of its label in
+    # `labels`]; a closing is (placements before it, key). The root's
+    # record starts dropped, so nothing is filed for it.
+    v = (0, total, None, None, [budget, None, -1])
     i = 0  # index in `labels` of the next label to try for v's next child
     # choice points, four shapes:
     # - run: (open vertex before the run, -k) for a run of k leaves; the
@@ -278,7 +278,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     held = 0  # window counts and closed vertices in the records
     try:
         while True:
-            lbl, room, lo_key, kids, parent, idx, rec = v
+            lbl, room, kids, parent, rec = v
             if room:
                 while not left[i]:
                     i += 1
@@ -293,7 +293,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                         spare -= k
                         left[i] -= k
                         push((v, -k))
-                        v = (lbl, room - k, lo_key, kids, parent, idx, rec)
+                        v = (lbl, room - k, kids, parent, rec)
                         continue
                     if not spare:
                         raise _Exhausted
@@ -312,7 +312,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                         left[i] -= 1
                         new = [spare, [], i]
                         push((v, new))
-                        v = (child, r, (), None, v, i, new)
+                        v = (child, r, None, v, new)
                         i += 1
                         continue
                     n, key = kept[0]
@@ -331,15 +331,15 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
             else:
                 parts = []
                 while kids:
-                    enc, kids = kids
-                    parts.append(enc)
+                    key, kids = kids
+                    parts.append(key[1])
                 body = "".join(reversed(parts))
                 if parent is None:
                     found.append(f"({'()' * (total - len(body) // 2)}{body})")
                 else:
                     # close the full vertex into its parent, whose scan for
                     # a next child starts at this vertex's label
-                    mu, room, lo_key, kids, grand, pidx, prec = parent
+                    mu, room, kids, grand, prec = parent
                     size = lbl - mu
                     key = (size, f"({'()' * (size - 1 - len(body) // 2)}{body})")
                     closings = rec[1]
@@ -351,9 +351,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                         else:
                             held -= sum(c[1][0] for c in closings)  # its closed vertices
                             rec[1] = None
-                    if key >= lo_key:
-                        v = (mu, room - size, key, (key[1], kids), grand, pidx, prec)
-                        i = idx
+                    if kids is None or key >= kids[0]:
+                        v = (mu, room - size, (key, kids), grand, prec)
+                        i = rec[2]
                         continue
             # a dead end or a solution: undo back to the last alternative
             while stack:
@@ -384,9 +384,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                     for k, c in pairs:
                         left[k] -= c
                     push((v, (ci, record, j, pairs)))
-                    mu, room, lo_key, kids, grand, pidx, prec = v
-                    if key >= lo_key:
-                        v = (mu, room - key[0], key, (key[1], kids), grand, pidx, prec)
+                    mu, room, kids, grand, prec = v
+                    if kids is None or key >= kids[0]:
+                        v = (mu, room - key[0], (key, kids), grand, prec)
                         i = ci
                         break
                     continue
@@ -419,9 +419,9 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                 # <= lbl + room - s + 1: undo the leaves from the last such
                 # slot on in one step and place label j there, or the whole
                 # run if none
-                lbl, room, lo_key, kids, parent, idx, rec = v
+                lbl, room, kids, parent, rec = v
                 k = -i
-                i = idx + 1
+                i = rec[2] + 1
                 j = i + 1
                 while not left[j]:
                     j += 1
@@ -434,7 +434,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
                 left[i] += k - s + 1
                 if s > 1:  # leaves 1..s-1 stay, as a shorter run
                     push((v, 1 - s))
-                    v = (lbl, room - s + 1, lo_key, kids, parent, idx, rec)
+                    v = (lbl, room - s + 1, kids, parent, rec)
                 i = j
                 break
             else:

@@ -14,8 +14,6 @@ three or more).
 `enumerate_trees` walks the Dyck words with an explicit stack and folds
 each tree up from its closed subtrees; the fold builds `PlaneTree`s by
 default, and `distribution` passes one that packs label polynomials.
-`dyck_words` recurses to depth 2n and stays as the plain, independent
-statement of the enumeration order.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "parse_tree",
     "avalanche_poly",
     "enumerate_trees",
-    "dyck_words",
 ]
 
 
@@ -203,28 +200,6 @@ def avalanche_poly(t: PlaneTree) -> Poly:
     return Poly(counts)
 
 
-def dyck_words(n: int) -> Iterator[str]:
-    """All balanced words of n '(' and n ')' in lexicographic order,
-    with '(' < ')'."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    buf: list[str] = []
-
-    def rec(opens_left: int, balance: int) -> Iterator[str]:
-        if opens_left == 0:
-            yield "".join(buf) + ")" * balance
-            return
-        buf.append("(")
-        yield from rec(opens_left - 1, balance + 1)
-        buf.pop()
-        if balance > 0:
-            buf.append(")")
-            yield from rec(opens_left, balance - 1)
-            buf.pop()
-
-    return rec(n, 0)
-
-
 def _add_plane_child(kids: tuple, child: tuple) -> tuple:
     return (*kids, PlaneTree(child))
 
@@ -238,8 +213,8 @@ def enumerate_trees(n: int, fold=_PLANE_FOLD) -> Iterator:
     """Every plane tree with n edges exactly once, streamed in
     lexicographic order of its encoding; the total count is catalan(n).
 
-    One loop walks the Dyck words of `dyck_words` with an explicit undo
-    stack, so the depth of a tree is not bounded by the recursion limit.
+    One loop walks the Dyck words with an explicit undo stack, so the
+    depth of a tree is not bounded by the recursion limit.
     Each open vertex on the right spine holds a fold of its closed
     children. `fold` is a triple (empty, add, finish): `empty` is the
     fold of a vertex with no children yet, `add(acc, child)` returns

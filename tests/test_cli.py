@@ -300,12 +300,40 @@ def test_out_file_gets_the_mode_a_shell_redirect_would(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.csv"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to("real.csv")
+    assert run(capsys, "curve", "--n", "2", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert real.read_text() == "x,y\n0.5,1.0\n1.0,0.5\n1.5,0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+def test_out_through_a_dangling_symlink_creates_its_target(capsys, tmp_path):
+    (tmp_path / "sub").mkdir()
+    link, missing = tmp_path / "dang.csv", tmp_path / "sub" / "missing.csv"
+    link.symlink_to(missing)
+    assert run(capsys, "curve", "--n", "2", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(missing)
+    assert missing.read_text() == "x,y\n0.5,1.0\n1.0,0.5\n1.5,0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dang.csv", "sub"]
+    assert sorted(p.name for p in missing.parent.iterdir()) == ["missing.csv"]
+
+
 def test_curve_unwritable_path_exits_3(capsys, tmp_path):
     code, _, err = run(
         capsys, "curve", "--n", "2", "--out", str(tmp_path / "no" / "curve.csv")
     )
     assert code == 3
     assert "cannot write" in err
+    # a trailing separator names a directory, as it does for a redirect
+    code, _, err = run(capsys, "curve", "--n", "2", "--out", str(tmp_path / "dir") + os.sep)
+    assert code == 3
+    assert "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_curve_precision_flag(capsys):
@@ -642,7 +670,7 @@ def test_checkfe_rejects_bad_order(capsys):
 # each module's public names, which `avpoly` re-exports
 EXPORTED = {
     "polyalg": "Poly Series catalan",
-    "tree": "PlaneTree LabeledTree TreeParseError parse_tree avalanche_poly enumerate_trees dyck_words",
+    "tree": "PlaneTree LabeledTree TreeParseError parse_tree avalanche_poly enumerate_trees",
     "distribution": (
         "DistributionRecord MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
         "distribution_by_enumeration distribution_by_recurrence distribution_by_closed_form "

@@ -1,7 +1,7 @@
 """Inverse problem: height-2 greedy, general search, 3-partition reduction."""
 
 import tracemalloc
-from itertools import count
+from itertools import combinations_with_replacement, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -659,3 +659,46 @@ def test_general_search_rejects_unsatisfiable_instance():
     p = scaled_reduction_poly(2, 12, (4, 4, 4, 5, 5, 5), 7)
     r = solve_general(p)
     assert r.status == "no_tree"
+
+
+def _three_partitions(values, C):
+    """Every split of the sorted `values` into triples of sum C, as a
+    sorted tuple of value triples, by brute force."""
+    if not values:
+        return {()}
+    first, rest = values[0], values[1:]
+    found = set()
+    for j in range(len(rest)):
+        for k in range(j + 1, len(rest)):
+            if first + rest[j] + rest[k] == C:
+                others = rest[:j] + rest[j + 1:k] + rest[k + 1:]
+                for split in _three_partitions(others, C):
+                    found.add(tuple(sorted(((first, rest[j], rest[k]), *split))))
+    return found
+
+
+@pytest.mark.parametrize("n,top", [(1, 40), (2, 24), (3, 20)])
+def test_reduction_has_a_tree_exactly_when_a_partition_exists(n, top):
+    # every valid instance with sorted values and C <= top, at lam = 1 and
+    # lam = 3n + 1: the search completes, and the trees it finds extract
+    # to exactly the partitions the brute force finds, so no partition
+    # means no tree
+    instances = without = 0
+    for C in range(1, top + 1):
+        allowed = [v for v in range(1, C) if 4 * v > C and 2 * v < C]
+        for a in combinations_with_replacement(allowed, 3 * n):
+            if sum(a) != n * C:
+                continue
+            expected = _three_partitions(a, C)
+            instances += 1
+            without += not expected
+            for lam in (1, 3 * n + 1):
+                inst = ThreePartitionInstance(n, C, a, lam)
+                r = solve_general(reduction_poly(inst))
+                assert r.status == ("found" if expected else "no_tree"), (C, a, lam)
+                got = {
+                    tuple(sorted(tuple(a[i - 1] for i in g) for g in extract_partition(t, inst)))
+                    for t in r.trees
+                }
+                assert got == expected, (C, a, lam)
+    assert (instances, without) == {1: (156, 0), 2: (105, 26), 3: (86, 22)}[n]

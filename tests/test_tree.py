@@ -12,7 +12,6 @@ from avpoly.tree import (
     PlaneTree,
     TreeParseError,
     avalanche_poly,
-    dyck_words,
     enumerate_trees,
     parse_tree,
 )
@@ -28,6 +27,29 @@ tree_shapes = st.recursive(
 
 def from_shape(shape):
     return PlaneTree(from_shape(s) for s in shape)
+
+
+def _dyck_words(n):
+    """All balanced words of n '(' and n ')' in lexicographic order, with
+    '(' < ')': the plain, recursive statement of the order in which
+    `enumerate_trees` yields trees, independent of its walk."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    buf = []
+
+    def rec(opens_left, balance):
+        if opens_left == 0:
+            yield "".join(buf) + ")" * balance
+            return
+        buf.append("(")
+        yield from rec(opens_left - 1, balance + 1)
+        buf.pop()
+        if balance > 0:
+            buf.append(")")
+            yield from rec(opens_left, balance - 1)
+            buf.pop()
+
+    return rec(n, 0)
 
 
 def path_tree(vertices):
@@ -273,15 +295,15 @@ def test_enumerate_counts_and_lexicographic_order():
 
 
 def test_dyck_words_basics():
-    assert list(dyck_words(0)) == [""]
-    assert list(dyck_words(2)) == ["(())", "()()"]
+    assert list(_dyck_words(0)) == [""]
+    assert list(_dyck_words(2)) == ["(())", "()()"]
     with pytest.raises(ValueError):
-        list(dyck_words(-1))
+        list(_dyck_words(-1))
 
 
 def test_enumeration_follows_dyck_words():
     for n in range(11):
-        assert [t.encode() for t in enumerate_trees(n)] == ["(" + w + ")" for w in dyck_words(n)]
+        assert [t.encode() for t in enumerate_trees(n)] == ["(" + w + ")" for w in _dyck_words(n)]
 
 
 def test_enumerate_trees_is_a_generator_that_rejects_negative_sizes():
@@ -307,7 +329,7 @@ def test_enumeration_with_an_encoding_fold_follows_dyck_words():
     # a fold of strings, not trees: each vertex collects its children's encodings
     fold = ("", lambda acc, child: f"{acc}({child})", lambda acc: f"({acc})")
     for n in range(10):
-        assert list(enumerate_trees(n, fold)) == ["(" + w + ")" for w in dyck_words(n)]
+        assert list(enumerate_trees(n, fold)) == ["(" + w + ")" for w in _dyck_words(n)]
 
 
 # ---------------------------------------------------------------------------
