@@ -161,24 +161,24 @@ def cmd_label(args) -> int:
 
 def cmd_dist(args) -> int:
     n = args.n
-    method = args.method
+    method = _METHOD_NAMES[args.method]
     if n < 0:
         return _fail("--n must be >= 0", 2)
     try:
-        if method == "enum":
-            record = dist.distribution_by_enumeration(n)
+        if args.method == "enum":
+            poly = dist.distribution_by_enumeration(n)
         elif n > RECURRENCE_CAP:
-            return _fail(f"--n exceeds the {_METHOD_NAMES[method]} cap {RECURRENCE_CAP}", 2)
-        elif method == "rec":
-            record = dist.distribution_by_recurrence(n)
+            return _fail(f"--n exceeds the {method} cap {RECURRENCE_CAP}", 2)
+        elif args.method == "rec":
+            poly = dist.distribution_by_recurrence(n)
         else:
-            record = dist.distribution_by_closed_form(n)
+            poly = dist.distribution_by_closed_form(n)
     except ValueError as exc:  # EnumerationCapExceeded is one
         return _fail(str(exc), 2)
     if args.format == "text":
-        text = f"A_{record.n} ({record.method}) = {record.poly.to_text()}"
+        text = f"A_{n} ({method}) = {poly.to_text()}"
     else:
-        text = json.dumps(record.to_json_dict())
+        text = json.dumps({"n": n, "method": method, "poly": poly.to_pairs()})
     return _emit(text, args.out)
 
 
@@ -200,7 +200,9 @@ def cmd_moments(args) -> int:
                 ]
             )
         else:
-            text = json.dumps(report.to_json_dict())
+            text = json.dumps(
+                {**report._asdict(), "mean": str(report.mean), "variance": str(report.variance)}
+            )
     except ValueError as exc:  # the interpreter's int-to-str limit, if set lower
         return _fail(f"cannot print the moments of --n {args.n}: {exc}", 2)
     return _emit(text, args.out)
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="distribution polynomial for size n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("enum", "rec", "closed"), default="rec")
+    p.add_argument("--method", choices=_METHOD_NAMES, default="rec")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_dist)

@@ -49,7 +49,6 @@ from .polyalg import Poly, catalan
 from .tree import enumerate_trees
 
 __all__ = [
-    "DistributionRecord",
     "MomentReport",
     "CurvePoint",
     "EnumerationCapExceeded",
@@ -82,26 +81,9 @@ class EnumerationCapExceeded(ValueError):
     """Raised when a request would enumerate more trees than the cap allows."""
 
 
-class DistributionRecord(namedtuple("DistributionRecord", "n poly method")):
-    """Immutable (n, poly, method); method is "enumeration", "recurrence"
-    or "closed"."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "method": self.method, "poly": self.poly.to_pairs()}
-
-
-class MomentReport(namedtuple("MomentReport", "n mean variance mean_ratio variance_ratio")):
-    """Immutable exact moments (Fractions) and their asymptotic ratios
-    (floats): mean_ratio = mean / ((sqrt(pi)/4) n^{3/2}) and
-    variance_ratio = variance / n^3."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "mean": str(self.mean), "variance": str(self.variance)}
-
+# Exact moments (Fractions) and their asymptotic ratios (floats), immutable:
+# mean_ratio = mean / ((sqrt(pi)/4) n^{3/2}) and variance_ratio = variance / n^3.
+MomentReport = namedtuple("MomentReport", "n mean variance mean_ratio variance_ratio")
 
 # One curve point (i/n, p_i/C_n), immutable.
 CurvePoint = namedtuple("CurvePoint", "x y")
@@ -118,7 +100,7 @@ def _field_bytes(n: int) -> int:
     return (n * catalan(n)).bit_length() // 8 + 1
 
 
-def distribution_by_enumeration(n: int) -> DistributionRecord:
+def distribution_by_enumeration(n: int) -> Poly:
     """Sum the avalanche polynomial over every tree with n edges, each
     labeled by its subtree sizes as `enumerate_trees` builds it, packed
     (see the module docstring); n above DEFAULT_ENUM_CAP raises
@@ -138,7 +120,7 @@ def distribution_by_enumeration(n: int) -> DistributionRecord:
 
     # each tree's fold is (vertex count, packed P_T); see the module docstring
     total = sum(enumerate_trees(n, ((1, 0), add, itemgetter(1))))
-    return DistributionRecord(n, _unpack(total, width, 1), "enumeration")
+    return _unpack(total, width, 1)
 
 
 def _recurrence_rows(n: int) -> tuple[int, Iterator[int]]:
@@ -201,18 +183,17 @@ def recurrence_polys(n: int) -> list[Poly]:
     return [_unpack(row, width, k + 2) for k, row in enumerate(rows)]
 
 
-def distribution_by_recurrence(n: int) -> DistributionRecord:
+def distribution_by_recurrence(n: int) -> Poly:
     """The size-n polynomial from the packed rows; keeps and unpacks row n only."""
     width, rows = _recurrence_rows(n)
     for row in rows:
         pass
-    return DistributionRecord(n, _unpack(row, width, n + 2), "recurrence")
+    return _unpack(row, width, n + 2)
 
 
-def _closed_form_coefficients(n: int) -> list[int]:
-    """Coefficients 0..n(n+1)/2 of the size-n distribution by the closed
-    formula: the sum over strictly increasing sequences
-    p_1 < ... < p_k <= n of
+def distribution_by_closed_form(n: int) -> Poly:
+    """The size-n polynomial by the closed formula: the sum over strictly
+    increasing sequences p_1 < ... < p_k <= n of
 
         q^(p_1 + ... + p_k) C_{p_1-1} prod_{i>1} C_{p_i - p_{i-1}} C_{n-p_k+1},
 
@@ -225,10 +206,12 @@ def _closed_form_coefficients(n: int) -> list[int]:
 
     g[p] holds the dense coefficients of F_p / q^p, of degree p(p-1)/2.
     That is O(n^2) scaled additions of coefficient lists, O(n^4) integer
-    operations. F_p is the recurrence's row D_{p-1} (ROADMAP direction 3)
+    operations. F_p is the recurrence's row D_{p-1} (ROADMAP direction 5)
     on dense lists instead of packed ints, so agreeing with the
     recurrence checks the packing, not the mathematics.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cat = [catalan(k) for k in range(n + 1)]
     g: list[list[int]] = [[]]
     total = [0] * (n * (n + 1) // 2 + 1)
@@ -243,15 +226,7 @@ def _closed_form_coefficients(n: int) -> list[int]:
         c = cat[n - p + 1]
         for e, v in enumerate(acc, p):
             total[e] += c * v
-    return total
-
-
-def distribution_by_closed_form(n: int) -> DistributionRecord:
-    """The whole polynomial by the closed formula, in O(n^2) scaled
-    additions of coefficient lists (see `_closed_form_coefficients`)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return DistributionRecord(n, Poly(enumerate(_closed_form_coefficients(n))), "closed")
+    return Poly(enumerate(total))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +397,7 @@ def normalized_curve(n: int) -> list[CurvePoint]:
     quotient correctly, as float(Fraction(p_i, C_n)) does."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    poly = distribution_by_recurrence(n).poly
+    poly = distribution_by_recurrence(n)
     cn = catalan(n)
     return [CurvePoint(i / n, c / cn) for i, c in poly.terms()]
 

@@ -43,7 +43,7 @@ def catalan(k: int) -> int:
 #  Sparse polynomials in q
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"(?:(\d+)\*?)?q(?:\^(\d+))?")
+_TERM_RE = re.compile(r"(?:([0-9]+)\*?)?q(?:\^([0-9]+))?")
 
 
 class Poly:
@@ -170,7 +170,7 @@ class Poly:
             if m:
                 coeff = int(m.group(1)) if m.group(1) else 1
                 exp = int(m.group(2)) if m.group(2) else 1
-            elif term.isdigit():
+            elif term.isascii() and term.isdigit():
                 coeff, exp = int(term), 0
             else:
                 raise ValueError(f"cannot parse polynomial term {raw.strip()!r}")
@@ -196,12 +196,16 @@ class Poly:
 
 def exact_int(value) -> int:
     """`value` if it is an int, or the int a decimal string spells (the
-    form `Poly.to_pairs` writes coefficients in). Anything else, floats
-    and bools included, raises ValueError instead of being truncated."""
+    form `Poly.to_pairs` writes coefficients in): ASCII digits after an
+    optional "-", nothing else. Anything else, floats and bools included,
+    raises ValueError instead of being truncated; so do the spellings
+    `int` also reads, such as " 5", "+5", "1_0" and non-ASCII digits."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        return int(value)
+        digits = value.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(value)
     raise ValueError(f"expected an integer, got {value!r:.40}")
 
 

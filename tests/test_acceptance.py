@@ -60,10 +60,10 @@ def test_criterion_2_method_triple_equivalence():
     t0 = time.time()
     ok = True
     for n in range(14):  # up to the enumeration cap, where W is tightest
-        enum = distribution_by_enumeration(n).poly
-        rec = distribution_by_recurrence(n).poly
+        enum = distribution_by_enumeration(n)
+        rec = distribution_by_recurrence(n)
         if n >= 1:
-            closed = distribution_by_closed_form(n).poly
+            closed = distribution_by_closed_form(n)
             ok = ok and enum == rec == closed
         else:
             ok = ok and enum == rec == Poly()
@@ -75,7 +75,7 @@ def test_criterion_3_edge_coefficients():
     polys = recurrence_polys(40)
     ok = True
     for n in range(2, 41):
-        closed = distribution_by_closed_form(n).poly
+        closed = distribution_by_closed_form(n)
         ok = ok and polys[n].coeff(1) == catalan(n) == closed.coeff(1)
         ok = ok and polys[n].coeff(2) == catalan(n - 1) == closed.coeff(2)
     assert report(3, ok, t0, "[q]A_n = C_n and [q^2]A_n = C_{n-1} for n <= 40")

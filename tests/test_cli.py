@@ -150,6 +150,19 @@ def test_dist_text_format(capsys):
     assert "2*q^1 + q^2 + q^3" in out
 
 
+DIST_N2_STDOUT = {
+    "json": '{"n": 2, "method": "%s", "poly": [[1, "2"], [2, "1"], [3, "1"]]}\n',
+    "text": "A_2 (%s) = 2*q^1 + q^2 + q^3\n",
+}
+
+
+@pytest.mark.parametrize("method,name", [("enum", "enumeration"), ("rec", "recurrence"), ("closed", "closed")])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_dist_n2_stdout_bytes(capsys, method, name, fmt):
+    expected = DIST_N2_STDOUT[fmt] % name
+    assert run(capsys, "dist", "--n", "2", "--method", method, "--format", fmt) == (0, expected, "")
+
+
 def test_dist_enum_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "dist", "--n", "14", "--method", "enum")
     assert code == 2
@@ -216,6 +229,19 @@ def test_moments_n2(capsys):
     assert data["mean"] == "7/4"
     assert data["variance"] == "11/16"
     assert abs(data["mean_ratio"] - 1.3963) < 5e-4
+
+
+MOMENTS_N2_STDOUT = {
+    "json": '{"n": 2, "mean": "7/4", "variance": "11/16", '
+    '"mean_ratio": 1.3962979814050143, "variance_ratio": 0.0859375}\n',
+    "text": "n = 2\nmean = 7/4\nvariance = 11/16\n"
+    "mean_ratio = 1.3962979814050143\nvariance_ratio = 0.0859375\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_moments_n2_stdout_bytes(capsys, fmt):
+    assert run(capsys, "moments", "--n", "2", "--format", fmt) == (0, MOMENTS_N2_STDOUT[fmt], "")
 
 
 def test_moments_n1_variance_zero(capsys):
@@ -647,6 +673,48 @@ def test_json_input_accepts_decimal_strings(capsys, tmp_path):
     assert json.loads(out)["tree"].count("(") == 106
 
 
+# A number is ASCII digits after an optional "-". `int` also reads "1_0",
+# " 5", "+5" and non-ASCII digits; each of those exits 2.
+
+
+@pytest.mark.parametrize(
+    "polynomial", ['[[1, "1_0"]]', '[[1, " 5"]]', '[[1, "+5"]]', '[[1, "\u0665"]]', '[["\u0661", 5]]']
+)
+def test_invert_pairs_take_only_ascii_decimal_strings(capsys, polynomial):
+    code, out, err = run(capsys, "invert", polynomial, "--height2")
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad polynomial: expected an integer, got ")
+
+
+@pytest.mark.parametrize("polynomial", ["\u0663*q^\u0662 + \u0663*q^\u0663", "\u0663*q", "q + \u0665"])
+def test_invert_text_takes_only_ascii_digits(capsys, polynomial):
+    code, out, err = run(capsys, "invert", polynomial, "--height2")
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad polynomial: cannot parse polynomial term ")
+
+
+def test_invert_negative_decimal_string_reaches_the_coefficient_check(capsys):
+    code, out, err = run(capsys, "invert", '[[1, "-5"]]', "--height2")
+    assert (code, out) == (2, "")
+    assert err == "avpoly: error: bad polynomial: polynomial must have nonnegative coefficients\n"
+
+
+@pytest.mark.parametrize("value", ["1_0", " 10", "+10", "\u0661\u0660"])
+def test_reduce_instance_takes_only_ascii_decimal_strings(capsys, tmp_path, value):
+    path = write_instance(tmp_path, n=1, C=26, a=[7, 9, value])
+    code, out, err = run(capsys, "reduce", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad instance file: expected an integer, got ")
+
+
+@pytest.mark.parametrize("index", ["\u0663", "0_3", " 3", "+3"])
+def test_reduce_partition_takes_only_ascii_decimal_strings(capsys, tmp_path, index):
+    path = write_instance(tmp_path, n=1, C=26, a=[7, 9, 10])
+    code, out, err = run(capsys, "reduce", path, "--with-partition", json.dumps([[1, 2, index]]))
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: bad partition: expected an integer, got ")
+
+
 # ---------------------------------------------------------------------------
 #  checkfe
 # ---------------------------------------------------------------------------
@@ -672,7 +740,7 @@ EXPORTED = {
     "polyalg": "Poly Series catalan",
     "tree": "PlaneTree LabeledTree TreeParseError parse_tree avalanche_poly enumerate_trees",
     "distribution": (
-        "DistributionRecord MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
+        "MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
         "distribution_by_enumeration distribution_by_recurrence distribution_by_closed_form "
         "recurrence_polys first_moment_total mean_exact variance_exact "
         "moment_report functional_equation_mismatch normalized_curve"
@@ -714,7 +782,7 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_startup_leaves_out_unneeded_modules(tmp_path):
+def test_startup_leaves_out_unneeded_modules(capsys, tmp_path):
     # every CLI run pays for what `import avpoly.cli` loads; -S keeps .pth
     # files in site-packages from loading these modules first
     target = tmp_path / "dist3.json"
@@ -730,7 +798,7 @@ def test_startup_leaves_out_unneeded_modules(tmp_path):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     # --out imports tempfile on demand and still writes the file
-    assert json.loads(target.read_text()) == dist.distribution_by_recurrence(3).to_json_dict()
+    assert target.read_text() == run(capsys, "dist", "--n", "3")[1]
 
 
 # ---------------------------------------------------------------------------

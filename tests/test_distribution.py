@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from avpoly import distribution, polyalg
 from avpoly.distribution import (
     CurvePoint,
-    DistributionRecord,
     EnumerationCapExceeded,
     MomentReport,
     curve_csv_lines,
@@ -47,27 +46,21 @@ A3 = Poly([(1, 5), (2, 2), (3, 4), (4, 2), (5, 1), (6, 1)])
     [distribution_by_enumeration, distribution_by_recurrence, distribution_by_closed_form],
 )
 def test_small_golden_values(method):
-    assert method(1).poly == A1
-    assert method(2).poly == A2
-    assert method(3).poly == A3
-
-
-def test_methods_tagged():
-    assert distribution_by_enumeration(2).method == "enumeration"
-    assert distribution_by_recurrence(2).method == "recurrence"
-    assert distribution_by_closed_form(2).method == "closed"
+    assert method(1) == A1
+    assert method(2) == A2
+    assert method(3) == A3
 
 
 def test_zero_size():
-    assert distribution_by_enumeration(0).poly == Poly()
-    assert distribution_by_recurrence(0).poly == Poly()
+    assert distribution_by_enumeration(0) == Poly()
+    assert distribution_by_recurrence(0) == Poly()
 
 
 def test_cross_equivalence_small():
     for n in range(1, 9):
-        a = distribution_by_enumeration(n).poly
-        assert a == distribution_by_recurrence(n).poly
-        assert a == distribution_by_closed_form(n).poly
+        a = distribution_by_enumeration(n)
+        assert a == distribution_by_recurrence(n)
+        assert a == distribution_by_closed_form(n)
 
 
 def test_packed_enumeration_matches_summed_tree_polys():
@@ -76,7 +69,7 @@ def test_packed_enumeration_matches_summed_tree_polys():
         total = Poly()
         for t in enumerate_trees(n):
             total = total + avalanche_poly(t)
-        assert distribution_by_enumeration(n).poly == total
+        assert distribution_by_enumeration(n) == total
 
 
 def test_enumeration_cap_refusal():
@@ -86,12 +79,12 @@ def test_enumeration_cap_refusal():
 
 def test_closed_coefficient_examples():
     for n in (3, 7, 20):
-        closed = distribution_by_closed_form(n).poly
+        closed = distribution_by_closed_form(n)
         assert closed.coeff(1) == catalan(n)
         assert closed.coeff(2) == catalan(n - 1)
-    assert distribution_by_closed_form(3).poly.coeff(3) == 4
+    assert distribution_by_closed_form(3).coeff(3) == 4
     # out of range is 0, not an error
-    closed = distribution_by_closed_form(5).poly
+    closed = distribution_by_closed_form(5)
     assert closed.coeff(0) == closed.coeff(16) == 0
     with pytest.raises(ValueError):
         distribution_by_closed_form(0)
@@ -113,14 +106,14 @@ def closed_formula_by_subsets(n: int) -> dict[int, int]:
 def test_closed_coefficient_matches_subset_sum():
     for n in range(1, 13):
         oracle = closed_formula_by_subsets(n)
-        closed = distribution_by_closed_form(n).poly
+        closed = distribution_by_closed_form(n)
         for v in range(-1, n * (n + 1) // 2 + 2):
             assert closed.coeff(v) == oracle.get(v, 0), (n, v)
 
 
 def test_closed_form_matches_recurrence():
     for n in range(1, 61):
-        assert distribution_by_closed_form(n).poly == distribution_by_recurrence(n).poly, n
+        assert distribution_by_closed_form(n) == distribution_by_recurrence(n), n
 
 
 @functools.cache
@@ -146,7 +139,7 @@ def three_part_oracle(n: int) -> list[Poly]:
 def test_recurrence_matches_three_part_oracle(first, second):
     # each call builds its table at the field width of its own size
     assert recurrence_polys(first) == three_part_oracle(40)[: first + 1]
-    assert distribution_by_recurrence(second).poly == three_part_oracle(40)[second]
+    assert distribution_by_recurrence(second) == three_part_oracle(40)[second]
     assert recurrence_polys(second) == three_part_oracle(40)[: second + 1]
 
 
@@ -156,7 +149,7 @@ def test_recurrence_cache_under_threads():
     results: list = [None] * len(sizes)
 
     def work(i, n):
-        results[i] = distribution_by_recurrence(n).poly
+        results[i] = distribution_by_recurrence(n)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -179,22 +172,14 @@ def test_recurrence_rejects_negative_size():
         distribution_by_recurrence(-1)
 
 
-def test_record_json_shape():
-    d = distribution_by_recurrence(2).to_json_dict()
-    assert d == {"n": 2, "method": "recurrence", "poly": [[1, "2"], [2, "1"], [3, "1"]]}
-
-
 def test_record_constructors_and_immutability():
-    rec = DistributionRecord(n=2, poly=A2, method="recurrence")
-    assert rec == DistributionRecord(2, A2, "recurrence") == distribution_by_recurrence(2)
     report = moment_report(2)
     assert report == MomentReport(
         2, Fraction(7, 4), Fraction(11, 16), report.mean_ratio, variance_ratio=report.variance_ratio
     )
-    assert list(report.to_json_dict()) == ["n", "mean", "variance", "mean_ratio", "variance_ratio"]
     point = CurvePoint(x=0.5, y=1.0)
     assert normalized_curve(2)[0] == point
-    for record, attr in ((rec, "n"), (report, "mean"), (point, "x")):
+    for record, attr in ((report, "mean"), (point, "x")):
         with pytest.raises(AttributeError):
             setattr(record, attr, 0)
 
@@ -319,7 +304,7 @@ def test_recurrence_table_moments_match_closed_forms_at_120():
     # the packed recurrence table at the largest benchmarked size against
     # the paper's closed forms: mass n C_n, first moment, variance
     n = 120
-    a = distribution_by_recurrence(n).poly
+    a = distribution_by_recurrence(n)
     mass = n * catalan(n)
     assert a.moment(0) == mass
     assert a.moment(1) == first_moment_total(n)
@@ -349,9 +334,9 @@ def test_functional_equation_holds():
 
 def test_functional_equation_holds_for_closed_form_and_enumeration():
     # the recurrence is derived from the identity itself; these two are not
-    closed = [Poly()] + [distribution_by_closed_form(n).poly for n in range(1, 19)]
+    closed = [Poly()] + [distribution_by_closed_form(n) for n in range(1, 19)]
     assert functional_equation_mismatch(18, closed) is None
-    enumerated = [distribution_by_enumeration(n).poly for n in range(11)]
+    enumerated = [distribution_by_enumeration(n) for n in range(11)]
     assert functional_equation_mismatch(10, enumerated) is None
 
 
@@ -488,7 +473,7 @@ def test_curve_points_equal_the_exact_quotient_rounded(monkeypatch):
     table = recurrence_polys(100)
     monkeypatch.setattr(
         distribution, "distribution_by_recurrence",
-        lambda n: DistributionRecord(n, table[n], "recurrence"),
+        lambda n: table[n],
     )
     for n in range(1, 101):
         cn = catalan(n)
