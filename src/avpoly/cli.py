@@ -24,20 +24,21 @@ HEIGHT2_CAP vertices, and `reduce --with-partition` above REDUCE_TREE_CAP;
 `curve --precision` must lie in 1..PRECISION_CAP, and `invert --budget`
 must be >= 0. JSON input must have the documented shape, with integers
 (or the decimal strings `reduce` prints) where numbers go; anything
-else exits 2.
+else exits 2. Integer options, like those strings, are ASCII digits
+after an optional "-".
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+# modules are reached by attribute only: the package executes each on its
+# first attribute access, so a command executes only the modules it uses
 from . import distribution as dist
 from . import inverse as inv
-from .polyalg import Poly, exact_int
-from .tree import TreeParseError, avalanche_poly, parse_tree
+from . import polyalg, tree
 
 # Largest size the recurrence and closed-form commands accept. Measured on
 # a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 4.7-6.9 s and
@@ -75,6 +76,16 @@ _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
 def _fail(message: str, code: int) -> int:
     print(f"avpoly: error: {message}", file=sys.stderr)
     return code
+
+
+def _int(text: str) -> int:
+    """An integer option, by the JSON readers' rule (`exact_int`): ASCII
+    digits after an optional "-". `int` would also read " 5", "1_0" and
+    non-ASCII digits."""
+    return polyalg.exact_int(text)
+
+
+_int.__name__ = "int"  # argparse's error names it: "invalid int value: '1_0'"
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -115,17 +126,19 @@ def _emit(text: str, out_path: str | None) -> int:
 
 def _json(text: str):
     """json.loads, with nesting too deep for the decoder as ValueError."""
+    import json  # like tempfile, imported only by the commands that use it
+
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
 
-def _parse_poly_arg(text: str) -> Poly:
+def _parse_poly_arg(text: str) -> polyalg.Poly:
     s = text.strip()
     if s.startswith("["):
-        return Poly.from_pairs(_json(s))
-    return Poly.from_text(s)
+        return polyalg.Poly.from_pairs(_json(s))
+    return polyalg.Poly.from_text(s)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +148,13 @@ def _parse_poly_arg(text: str) -> Poly:
 
 def cmd_label(args) -> int:
     try:
-        tree = parse_tree(args.encoding)
-    except TreeParseError as exc:
+        root = tree.parse_tree(args.encoding)
+    except tree.TreeParseError as exc:
         return _fail(str(exc), 2)
     # one preorder walk gives the labeled encoding and the labels; a child
     # is labeled its parent's label plus its subtree's size
     out, labels = [], []
-    stack = [(tree, 0)]
+    stack = [(root, 0)]
     while stack:
         item = stack.pop()
         if item is None:  # the subtree of an open vertex ends
@@ -155,7 +168,7 @@ def cmd_label(args) -> int:
         stack.extend([(child, label + child.size) for child in reversed(node.children)])
     print("".join(out))
     print("labels: " + ",".join(labels))
-    print("polynomial: " + avalanche_poly(tree).to_text())
+    print("polynomial: " + tree.avalanche_poly(root).to_text())
     return 0
 
 
@@ -178,6 +191,8 @@ def cmd_dist(args) -> int:
     if args.format == "text":
         text = f"A_{n} ({method}) = {poly.to_text()}"
     else:
+        import json
+
         text = json.dumps({"n": n, "method": method, "poly": poly.to_pairs()})
     return _emit(text, args.out)
 
@@ -200,6 +215,8 @@ def cmd_moments(args) -> int:
                 ]
             )
         else:
+            import json
+
             text = json.dumps(
                 {**report._asdict(), "mean": str(report.mean), "variance": str(report.variance)}
             )
@@ -228,7 +245,8 @@ def cmd_invert(args) -> int:
             raise ValueError("polynomial must have nonnegative coefficients")
     except ValueError as exc:  # json.JSONDecodeError is one
         return _fail(f"bad polynomial: {exc}", 2)
-    if args.budget < 0:
+    budget = inv.DEFAULT_BUDGET if args.budget is None else args.budget
+    if budget < 0:
         return _fail("--budget must be >= 0", 2)
     if args.height2:
         vertices = 1 + poly.moment()
@@ -236,11 +254,11 @@ def cmd_invert(args) -> int:
             return _fail(f"a tree of {vertices} vertices exceeds the height-2 cap {HEIGHT2_CAP}", 2)
         result = inv.solve_height2(poly)
     else:
-        result = inv.solve_general(poly, budget=args.budget)
-    for tree in result.trees:  # a search cut by the budget prints what it found
-        print(tree.encode())
+        result = inv.solve_general(poly, budget=budget)
+    for found in result.trees:  # a search cut by the budget prints what it found
+        print(found.encode())
     if result.status == "budget_exhausted":
-        return _fail(f"budget of {args.budget} placements exhausted", 4)
+        return _fail(f"budget of {budget} placements exhausted", 4)
     if result.status == "no_tree":
         print("NO")
         return 1
@@ -256,10 +274,10 @@ def _load_instance(path: str, lam_override: int | None):
         raise ValueError(f"a must be a list of integers, got {data['a']!r:.40}")
     lam = lam_override if lam_override is not None else data.get("lambda")
     return inv.ThreePartitionInstance(
-        n=exact_int(data["n"]),
-        C=exact_int(data["C"]),
-        a=tuple(exact_int(x) for x in data["a"]),
-        lam=exact_int(lam) if lam is not None else None,
+        n=polyalg.exact_int(data["n"]),
+        C=polyalg.exact_int(data["C"]),
+        a=tuple(polyalg.exact_int(x) for x in data["a"]),
+        lam=polyalg.exact_int(lam) if lam is not None else None,
     )
 
 
@@ -267,7 +285,7 @@ def _parse_partition(text: str) -> list[list[int]]:
     groups = _json(text)
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ValueError(f"expected a list of index lists, got {text!r:.40}")
-    return [[exact_int(i) for i in g] for g in groups]
+    return [[polyalg.exact_int(i) for i in g] for g in groups]
 
 
 def cmd_reduce(args) -> int:
@@ -279,7 +297,7 @@ def cmd_reduce(args) -> int:
         return _fail(f"bad instance file: {exc}", 2)
     try:
         poly = inv.reduction_poly(inst)
-        tree = None
+        built = None
         if args.with_partition is not None:
             partition = _parse_partition(args.with_partition)
             vertices = 1 + poly.moment()
@@ -287,20 +305,22 @@ def cmd_reduce(args) -> int:
                 return _fail(
                     f"a tree of {vertices} vertices exceeds the reduction tree cap {REDUCE_TREE_CAP}", 2
                 )
-            tree = inv.build_reduction_tree(inst, partition)
+            built = inv.build_reduction_tree(inst, partition)
     except (inv.InstanceValidationError, inv.PartitionError) as exc:
         return _fail(str(exc), 2)
     except ValueError as exc:
         return _fail(f"bad partition: {exc}", 2)
     if args.format == "text":
         lines = [f"polynomial: {poly.to_text()}"]
-        if tree is not None:
-            lines.append(f"tree: {tree.encode()}")
+        if built is not None:
+            lines.append(f"tree: {built.encode()}")
         text = "\n".join(lines)
     else:
+        import json
+
         payload: dict = {"poly": poly.to_pairs()}
-        if tree is not None:
-            payload["tree"] = tree.encode()
+        if built is not None:
+            payload["tree"] = built.encode()
         text = json.dumps(payload)
     return _emit(text, args.out)
 
@@ -335,21 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("dist", help="distribution polynomial for size n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--method", choices=_METHOD_NAMES, default="rec")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("moments", help="exact moments and asymptotic ratios")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("curve", help="renormalized distribution as CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--precision", type=_int, default=12)
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_curve)
 
@@ -358,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--height2", action="store_true")
     mode.add_argument("--general", action="store_true")
-    p.add_argument("--budget", type=int, default=inv.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("reduce", help="reduction polynomial of an instance file")
     p.add_argument("instance", help="JSON file with n, C, a, optional lambda")
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_int, default=None)
     p.add_argument(
         "--with-partition",
         default=None,
@@ -375,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("checkfe", help="check the series identity to an order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p.set_defaults(func=cmd_checkfe)
 
     return parser

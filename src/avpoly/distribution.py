@@ -45,8 +45,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import itemgetter
 
-from .polyalg import Poly, catalan
-from .tree import enumerate_trees
+# reached by attribute only, so that only `dist --method enum` executes `tree`
+from . import polyalg, tree
 
 __all__ = [
     "MomentReport",
@@ -97,10 +97,10 @@ CurvePoint = namedtuple("CurvePoint", "x y")
 def _field_bytes(n: int) -> int:
     """Bytes per packed field for sizes up to n: the least multiple of 8
     bits that is at least bitlen(n C_n) + 1 (see the module docstring)."""
-    return (n * catalan(n)).bit_length() // 8 + 1
+    return (n * polyalg.catalan(n)).bit_length() // 8 + 1
 
 
-def distribution_by_enumeration(n: int) -> Poly:
+def distribution_by_enumeration(n: int) -> polyalg.Poly:
     """Sum the avalanche polynomial over every tree with n edges, each
     labeled by its subtree sizes as `enumerate_trees` builds it, packed
     (see the module docstring); n above DEFAULT_ENUM_CAP raises
@@ -119,7 +119,7 @@ def distribution_by_enumeration(n: int) -> Poly:
         return acc[0] + size, acc[1] + ((1 + p) << (w * size))
 
     # each tree's fold is (vertex count, packed P_T); see the module docstring
-    total = sum(enumerate_trees(n, ((1, 0), add, itemgetter(1))))
+    total = sum(tree.enumerate_trees(n, ((1, 0), add, itemgetter(1))))
     return _unpack(total, width, 1)
 
 
@@ -141,7 +141,7 @@ def _recurrence_rows(n: int) -> tuple[int, Iterator[int]]:
 
 
 def _push_rows(n: int, w: int) -> Iterator[int]:
-    cat = [catalan(k) for k in range(n + 1)]
+    cat = [polyalg.catalan(k) for k in range(n + 1)]
     pending = [0] * (n + 1)  # pending[m] = sum of C_{m-k} D_k over the rows k made
     for m in range(n + 1):
         row = (pending[m] + cat[m]) << (w * (m + 1))
@@ -151,19 +151,19 @@ def _push_rows(n: int, w: int) -> Iterator[int]:
         yield row
 
 
-def _unpack(row: int, width: int, skip: int) -> Poly:
+def _unpack(row: int, width: int, skip: int) -> polyalg.Poly:
     """The polynomial whose q^e coefficient is field e + skip - 1 of `row`:
     one `to_bytes`, one slice per field, the low `skip` fields dropped.
     For recurrence row k, skip = k + 2 drops the empty fields and C_k."""
     fields = -(-row.bit_length() // (8 * width))
     data = row.to_bytes(fields * width, "little")
-    return Poly(
+    return polyalg.Poly(
         (e - skip + 1, int.from_bytes(data[e * width:(e + 1) * width], "little"))
         for e in range(skip, fields)
     )
 
 
-def recurrence_polys(n: int) -> list[Poly]:
+def recurrence_polys(n: int) -> list[polyalg.Poly]:
     """Distribution polynomials for sizes 0..n via the convolution
     recurrence, unpacked from a table of packed rows. Nothing is kept
     between calls and each call builds the whole table, which holds
@@ -183,7 +183,7 @@ def recurrence_polys(n: int) -> list[Poly]:
     return [_unpack(row, width, k + 2) for k, row in enumerate(rows)]
 
 
-def distribution_by_recurrence(n: int) -> Poly:
+def distribution_by_recurrence(n: int) -> polyalg.Poly:
     """The size-n polynomial from the packed rows; keeps and unpacks row n only."""
     width, rows = _recurrence_rows(n)
     for row in rows:
@@ -191,7 +191,7 @@ def distribution_by_recurrence(n: int) -> Poly:
     return _unpack(row, width, n + 2)
 
 
-def distribution_by_closed_form(n: int) -> Poly:
+def distribution_by_closed_form(n: int) -> polyalg.Poly:
     """The size-n polynomial by the closed formula: the sum over strictly
     increasing sequences p_1 < ... < p_k <= n of
 
@@ -212,7 +212,7 @@ def distribution_by_closed_form(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cat = [catalan(k) for k in range(n + 1)]
+    cat = [polyalg.catalan(k) for k in range(n + 1)]
     g: list[list[int]] = [[]]
     total = [0] * (n * (n + 1) // 2 + 1)
     for p in range(1, n + 1):
@@ -226,7 +226,7 @@ def distribution_by_closed_form(n: int) -> Poly:
         c = cat[n - p + 1]
         for e, v in enumerate(acc, p):
             total[e] += c * v
-    return Poly(enumerate(total))
+    return polyalg.Poly(enumerate(total))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def first_moment_total(n: int) -> int:
     4^{n-1}(n+2) - (2n^2+n-1) C_{n-1}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return 4 ** (n - 1) * (n + 2) - (2 * n * n + n - 1) * catalan(n - 1)
+    return 4 ** (n - 1) * (n + 2) - (2 * n * n + n - 1) * polyalg.catalan(n - 1)
 
 
 def mean_exact(n: int) -> Fraction:
@@ -249,7 +249,7 @@ def mean_exact(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     # C_n before C_{n-1}: asked for next, C_n would double the memo
-    cn = catalan(n)
+    cn = polyalg.catalan(n)
     return Fraction(first_moment_total(n), n * cn)
 
 
@@ -265,7 +265,7 @@ def variance_exact(n: int) -> Fraction:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    cn = catalan(n)
+    cn = polyalg.catalan(n)
     base = (
         Fraction(4, 15) * n**3
         + Fraction(73, 60) * n**2
@@ -309,7 +309,7 @@ def moment_report(n: int) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def _pack(poly: Poly, width: int) -> int:
+def _pack(poly: polyalg.Poly, width: int) -> int:
     """sum_e c_e 2^(8 width e) for integer coefficients of any sign: the
     positive and the negative parts go through bytes separately."""
     size = (poly.degree() + 1) * width
@@ -359,7 +359,7 @@ def functional_equation_mismatch(order: int, polys=None) -> int | None:
       with carries, satisfies the identity at q = 2^W."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    cat = [catalan(k) for k in range(order + 1)]
+    cat = [polyalg.catalan(k) for k in range(order + 1)]
     if polys is None:
         table_width, rows = _recurrence_rows(order)
         width = max(table_width, _field_bytes(order))
@@ -398,7 +398,7 @@ def normalized_curve(n: int) -> list[CurvePoint]:
     if n < 1:
         raise ValueError("n must be >= 1")
     poly = distribution_by_recurrence(n)
-    cn = catalan(n)
+    cn = polyalg.catalan(n)
     return [CurvePoint(i / n, c / cn) for i, c in poly.terms()]
 
 

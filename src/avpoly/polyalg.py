@@ -43,7 +43,8 @@ def catalan(k: int) -> int:
 #  Sparse polynomials in q
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"(?:([0-9]+)\*?)?q(?:\^([0-9]+))?")
+# compiled by `re` on first use and cached there; only `Poly.from_text` reads it
+_TERM = r"(?:([0-9]+)\*?)?q(?:\^([0-9]+))?"
 
 
 class Poly:
@@ -166,7 +167,7 @@ class Poly:
             term = raw.replace(" ", "")
             if not term:
                 raise ValueError(f"empty term in polynomial {text!r}")
-            m = _TERM_RE.fullmatch(term)
+            m = re.fullmatch(_TERM, term)
             if m:
                 coeff = int(m.group(1)) if m.group(1) else 1
                 exp = int(m.group(2)) if m.group(2) else 1

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import marshal
 import os
 import random
 import subprocess
@@ -176,14 +177,14 @@ def test_dist_enum_cap(capsys, monkeypatch):
 
 
 def test_dist_enum_cap_refuses_before_counting_trees(capsys, monkeypatch):
-    catalan = dist.catalan
+    catalan = avpoly.polyalg.catalan
 
     def guarded(k):
         if k > dist.DEFAULT_ENUM_CAP:
             raise AssertionError(f"catalan({k}) computed above the enumeration cap")
         return catalan(k)
 
-    monkeypatch.setattr(dist, "catalan", guarded)
+    monkeypatch.setattr(avpoly.polyalg, "catalan", guarded)
     code, out, err = run(capsys, "dist", "--n", "200000", "--method", "enum")
     assert (code, out) == (2, "")
     assert "exceeds the enumeration cap 13" in err
@@ -715,6 +716,46 @@ def test_reduce_partition_takes_only_ascii_decimal_strings(capsys, tmp_path, ind
     assert err.startswith("avpoly: error: bad partition: expected an integer, got ")
 
 
+# Integer options take the same rule; each argv below exited 0 before.
+# argparse names the option and the value.
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["dist", "--n", "\u0663", "--format", "text"], "--n"),
+        (["moments", "--n", " 1_0"], "--n"),
+        (["curve", "--n", "+3"], "--n"),
+        (["curve", "--n", "3", "--precision", "1_2"], "--precision"),
+        (["invert", "q^2 + q^3", "--general", "--budget", "1_000"], "--budget"),
+        (["reduce", "INSTANCE", "--lambda", " 1"], "--lambda"),
+        (["checkfe", "--order", "\u0665"], "--order"),
+    ],
+)
+def test_integer_options_take_only_ascii_digits(capsys, tmp_path, argv, option):
+    instance = write_instance(tmp_path, n=1, C=26, a=[7, 9, 10])
+    argv = [instance if a == "INSTANCE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    value = argv[argv.index(option) + 1]
+    assert err.endswith(f" error: argument {option}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dist", "--n", "-1"], "--n must be >= 0"),
+        (["moments", "--n", "-1"], "--n must be >= 1"),
+        (["curve", "--n", "-1"], "--n must be >= 1"),
+        (["curve", "--n", "3", "--precision", "-1"], "--precision must be >= 1"),
+        (["invert", "q", "--height2", "--budget", "-1"], "--budget must be >= 0"),
+        (["checkfe", "--order", "-1"], "--order must be >= 1"),
+    ],
+)
+def test_negative_integer_options_reach_each_command_range_check(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"avpoly: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 #  checkfe
 # ---------------------------------------------------------------------------
@@ -729,6 +770,117 @@ def test_checkfe_small_orders(capsys):
 
 def test_checkfe_rejects_bad_order(capsys):
     assert run(capsys, "checkfe", "--order", "0")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+#  help
+# ---------------------------------------------------------------------------
+
+# `avpoly --help` and `avpoly <command> --help` at 80 columns, the same on
+# Python 3.10-3.13
+HELP = {
+    (): """\
+usage: avpoly [-h] {label,dist,moments,curve,invert,reduce,checkfe} ...
+
+Avalanche polynomials of rooted plane trees.
+
+positional arguments:
+  {label,dist,moments,curve,invert,reduce,checkfe}
+    label               label a tree encoding
+    dist                distribution polynomial for size n
+    moments             exact moments and asymptotic ratios
+    curve               renormalized distribution as CSV
+    invert              find trees with a given polynomial
+    reduce              reduction polynomial of an instance file
+    checkfe             check the series identity to an order
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("label",): """\
+usage: avpoly label [-h] encoding
+
+positional arguments:
+  encoding    parenthesis encoding, e.g. '((()))'
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("dist",): """\
+usage: avpoly dist [-h] --n N [--method {enum,rec,closed}]
+                   [--format {json,text}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --method {enum,rec,closed}
+  --format {json,text}
+  --out PATH
+""",
+    ("moments",): """\
+usage: avpoly moments [-h] --n N [--format {json,text}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {json,text}
+  --out PATH
+""",
+    ("curve",): """\
+usage: avpoly curve [-h] --n N [--precision PRECISION] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --precision PRECISION
+  --out PATH
+""",
+    ("invert",): """\
+usage: avpoly invert [-h] (--height2 | --general) [--budget BUDGET] polynomial
+
+positional arguments:
+  polynomial       text form like 'q^3 + 2*q^4' or JSON pairs
+
+options:
+  -h, --help       show this help message and exit
+  --height2
+  --general
+  --budget BUDGET
+""",
+    ("reduce",): """\
+usage: avpoly reduce [-h] [--lambda LAM] [--with-partition JSON]
+                     [--format {json,text}] [--out PATH]
+                     instance
+
+positional arguments:
+  instance              JSON file with n, C, a, optional lambda
+
+options:
+  -h, --help            show this help message and exit
+  --lambda LAM
+  --with-partition JSON
+                        partition as JSON triples of 1-based indices, e.g.
+                        '[[1,2,3]]'
+  --format {json,text}
+  --out PATH
+""",
+    ("checkfe",): """\
+usage: avpoly checkfe [-h] --order ORDER
+
+options:
+  -h, --help     show this help message and exit
+  --order ORDER
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "avpoly")
+def test_help_stdout_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +911,8 @@ def test_package_exports_each_module_public_names():
     for module, names in zip(modules, EXPORTED.values()):
         for name in names.split():
             assert getattr(avpoly, name) is getattr(module, name), name
+    assert set(avpoly.__all__) < set(dir(avpoly))
+    assert not hasattr(avpoly, "no_such_name")
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
@@ -775,6 +929,35 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
         else:
             # the tracer reads the attribute from the class's own namespace
             assert callable(vars(getattr(module, cls)).get(attr)), (mod, cls, attr)
+
+
+@pytest.mark.parametrize(
+    "argv, spans, counters",
+    [
+        (["label", "(())"], {"tree.parse_tree", "tree.avalanche_poly"}, {"tree.PlaneTree.built"}),
+        (["moments", "--n", "2"], {"distribution.moment_report"}, {"polyalg.catalan.calls"}),
+        (["dist", "--n", "4", "--method", "enum"], {"distribution.enumeration"},
+         {"polyalg.catalan.calls", "tree.enumerate_trees.yields"}),
+        (["invert", "q^2 + q^3", "--general"], {"inverse.solve_general"}, {"tree.PlaneTree.built"}),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_the_benchmark_tracer_records_the_layers_a_command_runs(tmp_path, argv, spans, counters):
+    # the tracer wraps each module's functions after `import avpoly.cli`; a
+    # name bound by `from ... import`, or a module executed after the
+    # wrapping, would leave these spans and counters out. It is only run.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "trace.marshal"
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(out), "job", "--", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    record = marshal.loads(out.read_bytes())
+    recorded = {record["names"][span[0]] for span in record["spans"]}
+    assert spans <= recorded, recorded
+    assert all(record["counters"].get(name, 0) > 0 for name in counters), record["counters"]
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +982,58 @@ def test_startup_leaves_out_unneeded_modules(capsys, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     # --out imports tempfile on demand and still writes the file
     assert target.read_text() == run(capsys, "dist", "--n", "3")[1]
+
+
+def _executed_modules(script: str) -> str:
+    """stderr of `script` run with -S, after which one line names the
+    avpoly modules executed (a module whose type is still the lazy one
+    was never used) and says whether json was imported."""
+    script += (
+        "import types\n"
+        "executed = sorted(name.removeprefix('avpoly.') for name, module in sys.modules.items()\n"
+        "                  if name.startswith('avpoly.') and type(module) is types.ModuleType)\n"
+        "print(executed, 'json' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def test_importing_the_package_executes_no_module():
+    assert _executed_modules("import sys, avpoly\nfrom avpoly import tree\n") == "[] False\n"
+
+
+RECURRENCE_MODULES = {"cli", "distribution", "polyalg"}
+INVERSE_MODULES = {"cli", "inverse", "polyalg", "tree"}
+
+
+# (argv, the package modules it executes, whether it imports json)
+EXECUTED = [
+    (["label", "(())"], {"cli", "polyalg", "tree"}, False),
+    (["moments", "--n", "1"], RECURRENCE_MODULES, True),
+    (["moments", "--n", "2", "--format", "text"], RECURRENCE_MODULES, False),
+    (["curve", "--n", "3"], RECURRENCE_MODULES, False),
+    (["checkfe", "--order", "3"], RECURRENCE_MODULES, False),
+    (["dist", "--n", "3"], RECURRENCE_MODULES, True),
+    (["dist", "--n", "3", "--method", "closed", "--format", "text"], RECURRENCE_MODULES, False),
+    (["dist", "--n", "3", "--method", "enum", "--format", "text"], RECURRENCE_MODULES | {"tree"}, False),
+    (["invert", "q^2 + q^3", "--general"], INVERSE_MODULES, False),
+    (["invert", "[[2, 1], [3, 1]]", "--height2"], INVERSE_MODULES, True),
+    (["reduce", "INSTANCE", "--format", "text"], INVERSE_MODULES, True),
+]
+
+
+@pytest.mark.parametrize("argv, modules, uses_json", EXECUTED, ids=[" ".join(c[0]) for c in EXECUTED])
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, modules, uses_json):
+    instance = tmp_path / "inst.json"
+    instance.write_text('{"n": 1, "C": 26, "a": [7, 9, 10]}')
+    argv = [str(instance) if a == "INSTANCE" else a for a in argv]
+    script = f"import sys, avpoly.cli\nif avpoly.cli.main({argv!r}) != 0: sys.exit('failed')\n"
+    assert _executed_modules(script) == f"{sorted(modules)} {uses_json}\n"
 
 
 # ---------------------------------------------------------------------------
