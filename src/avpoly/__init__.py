@@ -36,9 +36,12 @@ _MODULES = polyalg, tree, distribution, inverse = [
 def __getattr__(name: str):
     if name == "__all__":
         return [attr for module in _MODULES for attr in module.__all__]
-    for module in _MODULES:
-        if name in module.__all__:
-            return getattr(module, name)
+    # no lazy module exports `cli` or a private name: `from avpoly import
+    # cli` asks for one through `hasattr`, which must execute none of them
+    if not name.startswith("_") and name != "cli":
+        for module in _MODULES:
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

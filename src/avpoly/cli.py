@@ -19,13 +19,12 @@ closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 `dist --method closed`, `curve` and `checkfe` refuse sizes above
 RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP, and exits 2
 as well when a lowered int-to-str limit cannot print its fractions;
-`invert --height2` refuses polynomials whose tree would have more than
-HEIGHT2_CAP vertices, and `reduce --with-partition` above REDUCE_TREE_CAP;
-`curve --precision` must lie in 1..PRECISION_CAP, and `invert --budget`
-must be >= 0. JSON input must have the documented shape, with integers
-(or the decimal strings `reduce` prints) where numbers go; anything
-else exits 2. Integer options, like those strings, are ASCII digits
-after an optional "-".
+`invert` (both modes) and `reduce --with-partition` refuse to build a
+tree of more than TREE_CAP vertices; `curve --precision` must lie in
+1..PRECISION_CAP, and `invert --budget` must be >= 0. JSON input must
+have the documented shape, with integers (or the decimal strings
+`reduce` prints) where numbers go; anything else exits 2. Integer
+options, like those strings, are ASCII digits after an optional "-".
 """
 
 from __future__ import annotations
@@ -48,24 +47,19 @@ from . import polyalg, tree
 RECURRENCE_CAP = 200
 
 # Largest size `moments` accepts: one more and the exact variance has over
-# 4300 digits, the int-to-str limit of Python 3.10-3.12 (kept: it guards
+# 4300 digits, the int-to-str limit of Python 3.10-3.13 (kept: it guards
 # against quadratic-time conversion). At 3575 json and text print in 0.17 s.
 MOMENTS_CAP = 3575
 
-# Largest vertex count (1 + the coefficient sum) `invert --height2` builds.
-# Measured on the same VM: at the cap the costliest shapes found, one
-# branch of each size 2..3161 and the star 4999999*q, take 0.8-1.0 s and
-# 74 MB peak RSS; 2499999 root children with one leaf each (2499999*q^2 +
-# 2499999*q^3) 0.5-0.6 s and 53 MB; 124999 branches of 39 leaves 0.15 s
-# and 35 MB.
-HEIGHT2_CAP = 5_000_000
-
-# Largest vertex count `reduce --with-partition` builds; a tree has one
-# vertex more than its polynomial's coefficient sum, here 1 + n + lambda n C.
-# Measured on the same VM: at the cap, n = 1 (3 branches of about
-# 1.67 million leaves) takes 0.7-0.8 s and 82 MB peak RSS, and n = 5000
-# with lambda = 1 (15000 branches of 332-333 vertices) 1.3-1.4 s and 92 MB.
-REDUCE_TREE_CAP = 5_000_000
+# Largest tree a command builds and prints: 1 + the coefficient sum of its
+# polynomial (1 + n + lambda n C for `reduce`). Measured at the cap on the
+# same VM: `invert --height2` 0.8-1.0 s and 74 MB peak RSS on the star
+# 4999999*q and on one branch of each size 2..3161, 0.5-0.6 s and 53 MB on
+# the fan 2499999*q^2 + 2499999*q^3; `invert --general` 1.9-2.0 s and
+# 113-130 MB on the star, 39-49 s and 2.19-2.27 GB on the fan; `reduce
+# --with-partition` 0.7-0.8 s and 82 MB at n = 1, 1.3-1.4 s and 92 MB at
+# n = 5000 with lambda = 1.
+TREE_CAP = 5_000_000
 
 # Largest `curve --precision`: float formatting takes a C int precision.
 PRECISION_CAP = 2**31 - 1
@@ -76,6 +70,10 @@ _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
 def _fail(message: str, code: int) -> int:
     print(f"avpoly: error: {message}", file=sys.stderr)
     return code
+
+
+def _tree_cap_fail(vertices: int) -> int:
+    return _fail(f"a tree of {vertices} vertices exceeds the tree cap {TREE_CAP}", 2)
 
 
 def _int(text: str) -> int:
@@ -248,10 +246,10 @@ def cmd_invert(args) -> int:
     budget = inv.DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 0:
         return _fail("--budget must be >= 0", 2)
+    vertices = 1 + poly.moment()
+    if vertices > TREE_CAP:
+        return _tree_cap_fail(vertices)
     if args.height2:
-        vertices = 1 + poly.moment()
-        if vertices > HEIGHT2_CAP:
-            return _fail(f"a tree of {vertices} vertices exceeds the height-2 cap {HEIGHT2_CAP}", 2)
         result = inv.solve_height2(poly)
     else:
         result = inv.solve_general(poly, budget=budget)
@@ -301,10 +299,8 @@ def cmd_reduce(args) -> int:
         if args.with_partition is not None:
             partition = _parse_partition(args.with_partition)
             vertices = 1 + poly.moment()
-            if vertices > REDUCE_TREE_CAP:
-                return _fail(
-                    f"a tree of {vertices} vertices exceeds the reduction tree cap {REDUCE_TREE_CAP}", 2
-                )
+            if vertices > TREE_CAP:
+                return _tree_cap_fail(vertices)
             built = inv.build_reduction_tree(inst, partition)
     except (inv.InstanceValidationError, inv.PartitionError) as exc:
         return _fail(str(exc), 2)

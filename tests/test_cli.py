@@ -17,9 +17,7 @@ from hypothesis import given, settings, strategies as st
 import avpoly
 from avpoly import distribution as dist
 from avpoly import inverse as inv
-from avpoly.cli import (
-    HEIGHT2_CAP, MOMENTS_CAP, PRECISION_CAP, RECURRENCE_CAP, REDUCE_TREE_CAP, main,
-)
+from avpoly.cli import MOMENTS_CAP, PRECISION_CAP, RECURRENCE_CAP, TREE_CAP, main
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -457,16 +455,59 @@ def test_invert_height2_vertex_cap(capsys, monkeypatch):
         return inv.InverseResult("no_tree")
 
     monkeypatch.setattr(inv, "solve_height2", stub)
-    # HEIGHT2_CAP non-root vertices plus the root: one over the cap
-    code, out, err = run(capsys, "invert", f"{HEIGHT2_CAP}*q", "--height2")
+    # TREE_CAP non-root vertices plus the root: one over the cap
+    code, out, err = run(capsys, "invert", f"{TREE_CAP}*q", "--height2")
     assert code == 2
     assert out == ""
     assert "cap" in err
     assert len(err.splitlines()) == 1
     assert calls == []
-    code, out, _ = run(capsys, "invert", f"{HEIGHT2_CAP - 2}*q + q^2", "--height2")
+    code, out, _ = run(capsys, "invert", f"{TREE_CAP - 2}*q + q^2", "--height2")
     assert (code, out) == (1, "NO\n")
     assert len(calls) == 1
+
+
+def test_invert_general_vertex_cap(capsys, monkeypatch):
+    calls = []
+
+    def stub(poly, budget):
+        calls.append(poly)
+        return inv.InverseResult("no_tree")
+
+    monkeypatch.setattr(inv, "solve_general", stub)
+    code, out, err = run(capsys, "invert", f"{TREE_CAP}*q", "--general")
+    assert (code, out) == (2, "")
+    assert err == f"avpoly: error: a tree of {TREE_CAP + 1} vertices exceeds the tree cap {TREE_CAP}\n"
+    assert calls == []
+    code, out, _ = run(capsys, "invert", f"{TREE_CAP - 2}*q + q^2", "--general")
+    assert (code, out) == (1, "NO\n")
+    assert len(calls) == 1
+
+
+def test_invert_general_refuses_a_star_too_large_to_index(capsys):
+    # building this star's encoding raised OverflowError, a traceback
+    star = "99999999999999999999*q"
+    code, out, err = run(capsys, "invert", star, "--general", "--budget", str(10**20))
+    assert (code, out) == (2, "")
+    assert err == f"avpoly: error: a tree of {10**20} vertices exceeds the tree cap 5000000\n"
+
+
+def test_invert_general_refuses_a_star_too_large_for_memory():
+    # under a 1,500,000 KB address space, building the encoding of this
+    # star of 4*10^8 leaves raised MemoryError; the cap refuses it first
+    resource = pytest.importorskip("resource")
+
+    cap = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 1_500_000 * 1024 if cap == resource.RLIM_INFINITY else min(1_500_000 * 1024, cap)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = [sys.executable, "-m", "avpoly", "invert", "400000000*q", "--general", "--budget", "1000000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "avpoly: error: a tree of 400000001 vertices exceeds the tree cap 5000000\n"
 
 
 def test_invert_accepts_json_pairs(capsys):
@@ -598,8 +639,8 @@ def test_reduce_tree_vertex_cap(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(inv, "build_reduction_tree", stub)
     # n = 1 and lambda = 2: the tree has 2 + 2C vertices, the cap itself at C = big
-    big = (REDUCE_TREE_CAP - 2) // 2
-    assert 2 + 2 * big == REDUCE_TREE_CAP
+    big = (TREE_CAP - 2) // 2
+    assert 2 + 2 * big == TREE_CAP
     path = write_instance(tmp_path, n=1, C=big + 1, a=[big // 3, big // 3, big + 1 - 2 * (big // 3)])
     code, out, err = run(capsys, "reduce", path, "--lambda", "2", "--with-partition", "[[1, 2, 3]]")
     assert (code, out) == (2, "")
@@ -895,7 +936,7 @@ EXPORTED = {
         "MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
         "distribution_by_enumeration distribution_by_recurrence distribution_by_closed_form "
         "recurrence_polys first_moment_total mean_exact variance_exact "
-        "moment_report functional_equation_mismatch normalized_curve"
+        "moment_report functional_equation_mismatch normalized_curve curve_csv_lines"
     ),
     "inverse": (
         "ThreePartitionInstance InverseResult InstanceValidationError PartitionError ExtractionError "
@@ -909,6 +950,7 @@ def test_package_exports_each_module_public_names():
     modules = [getattr(avpoly, name) for name in EXPORTED]
     assert avpoly.__all__ == [name for module in modules for name in module.__all__]
     for module, names in zip(modules, EXPORTED.values()):
+        assert module.__all__ == names.split(), module.__name__
         for name in names.split():
             assert getattr(avpoly, name) is getattr(module, name), name
     assert set(avpoly.__all__) < set(dir(avpoly))
@@ -1034,6 +1076,11 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, modules,
     argv = [str(instance) if a == "INSTANCE" else a for a in argv]
     script = f"import sys, avpoly.cli\nif avpoly.cli.main({argv!r}) != 0: sys.exit('failed')\n"
     assert _executed_modules(script) == f"{sorted(modules)} {uses_json}\n"
+
+
+def test_importing_cli_from_the_package_executes_only_cli():
+    # the import system asks the package for `cli` through hasattr first
+    assert _executed_modules("import sys\nfrom avpoly import cli\n") == "['cli'] False\n"
 
 
 # ---------------------------------------------------------------------------
