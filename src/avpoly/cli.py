@@ -29,9 +29,10 @@ options, like those strings, are ASCII digits after an optional "-".
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
+from types import SimpleNamespace
 
 # modules are reached by attribute only: the package executes each on its
 # first attribute access, so a command executes only the modules it uses
@@ -124,12 +125,30 @@ def _emit(text: str, out_path: str | None) -> int:
 
 def _json(text: str):
     """json.loads, with nesting too deep for the decoder as ValueError."""
-    import json  # like tempfile, imported only by the commands that use it
+    import json  # like tempfile, imported only by the commands that read JSON
 
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _record(fields: dict) -> str:
+    """`json.dumps(fields)` for the records `dist`, `moments` and `reduce`
+    print. Their strings (method names, fractions, decimal coefficients,
+    tree encodings) need no escaping, their numbers are ints and finite
+    floats, and their one list is a polynomial's `to_pairs`. So `json` is
+    imported only to read JSON."""
+    parts = []
+    for key, value in fields.items():
+        if isinstance(value, str):
+            text = f'"{value}"'
+        elif isinstance(value, list):
+            text = "[" + ", ".join([f'[{e}, "{c}"]' for e, c in value]) + "]"
+        else:
+            text = repr(value)
+        parts.append(f'"{key}": {text}')
+    return "{" + ", ".join(parts) + "}"
 
 
 def _parse_poly_arg(text: str) -> polyalg.Poly:
@@ -189,9 +208,7 @@ def cmd_dist(args) -> int:
     if args.format == "text":
         text = f"A_{n} ({method}) = {poly.to_text()}"
     else:
-        import json
-
-        text = json.dumps({"n": n, "method": method, "poly": poly.to_pairs()})
+        text = _record({"n": n, "method": method, "poly": poly.to_pairs()})
     return _emit(text, args.out)
 
 
@@ -213,9 +230,7 @@ def cmd_moments(args) -> int:
                 ]
             )
         else:
-            import json
-
-            text = json.dumps(
+            text = _record(
                 {**report._asdict(), "mean": str(report.mean), "variance": str(report.variance)}
             )
     except ValueError as exc:  # the interpreter's int-to-str limit, if set lower
@@ -312,12 +327,10 @@ def cmd_reduce(args) -> int:
             lines.append(f"tree: {built.encode()}")
         text = "\n".join(lines)
     else:
-        import json
-
         payload: dict = {"poly": poly.to_pairs()}
         if built is not None:
             payload["tree"] = built.encode()
-        text = json.dumps(payload)
+        text = _record(payload)
     return _emit(text, args.out)
 
 
@@ -338,67 +351,130 @@ def cmd_checkfe(args) -> int:
 #  Parser
 # ---------------------------------------------------------------------------
 
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+_OUT = ("--out", {"metavar": "PATH"})
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help and arguments, in help order: (name, add_argument
+# keywords). A store_true flag joins the subcommand's required group of
+# mutually exclusive modes (`invert --height2 | --general`).
+_COMMANDS = {
+    "label": ("label a tree encoding", [
+        ("encoding", {"help": "parenthesis encoding, e.g. '((()))'"}),
+    ]),
+    "dist": ("distribution polynomial for size n", [
+        ("--n", {"type": _int, "required": True}),
+        ("--method", {"choices": _METHOD_NAMES, "default": "rec"}),
+        _FORMAT,
+        _OUT,
+    ]),
+    "moments": ("exact moments and asymptotic ratios", [
+        ("--n", {"type": _int, "required": True}),
+        _FORMAT,
+        _OUT,
+    ]),
+    "curve": ("renormalized distribution as CSV", [
+        ("--n", {"type": _int, "required": True}),
+        ("--precision", {"type": _int, "default": 12}),
+        _OUT,
+    ]),
+    "invert": ("find trees with a given polynomial", [
+        ("polynomial", {"help": "text form like 'q^3 + 2*q^4' or JSON pairs"}),
+        ("--height2", {"action": "store_true"}),
+        ("--general", {"action": "store_true"}),
+        ("--budget", {"type": _int}),
+    ]),
+    "reduce": ("reduction polynomial of an instance file", [
+        ("instance", {"help": "JSON file with n, C, a, optional lambda"}),
+        ("--lambda", {"dest": "lam", "type": _int}),
+        ("--with-partition", {
+            "metavar": "JSON",
+            "help": "partition as JSON triples of 1-based indices, e.g. '[[1,2,3]]'",
+        }),
+        _FORMAT,
+        _OUT,
+    ]),
+    "checkfe": ("check the series identity to an order", [
+        ("--order", {"type": _int, "required": True}),
+    ]),
+}
+
+
+def build_parser():
+    """The argparse parser of `_COMMANDS`; `main` builds it only for the
+    argv `_read_plain` declines, among them every help request and error."""
+    import argparse  # with gettext and locale, about 5 ms of start-up
+
     parser = argparse.ArgumentParser(
         prog="avpoly",
         description="Avalanche polynomials of rooted plane trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("label", help="label a tree encoding")
-    p.add_argument("encoding", help="parenthesis encoding, e.g. '((()))'")
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("dist", help="distribution polynomial for size n")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--method", choices=_METHOD_NAMES, default="rec")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("moments", help="exact moments and asymptotic ratios")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("curve", help="renormalized distribution as CSV")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--precision", type=_int, default=12)
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("invert", help="find trees with a given polynomial")
-    p.add_argument("polynomial", help="text form like 'q^3 + 2*q^4' or JSON pairs")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--height2", action="store_true")
-    mode.add_argument("--general", action="store_true")
-    p.add_argument("--budget", type=_int)
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("reduce", help="reduction polynomial of an instance file")
-    p.add_argument("instance", help="JSON file with n, C, a, optional lambda")
-    p.add_argument("--lambda", dest="lam", type=_int, default=None)
-    p.add_argument(
-        "--with-partition",
-        default=None,
-        metavar="JSON",
-        help="partition as JSON triples of 1-based indices, e.g. '[[1,2,3]]'",
-    )
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("checkfe", help="check the series identity to an order")
-    p.add_argument("--order", type=_int, required=True)
-    p.set_defaults(func=cmd_checkfe)
-
+    for name, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        modes = None
+        for flag, keywords in arguments:
+            target = p
+            if keywords.get("action") == "store_true":
+                modes = modes or p.add_mutually_exclusive_group(required=True)
+                target = modes
+            target.add_argument(flag, **keywords)
+        p.set_defaults(func=globals()["cmd_" + name])
     return parser
 
 
+def _read_plain(argv: list[str]):
+    """The namespace `build_parser().parse_args(argv)` returns, for an argv
+    that is a subcommand followed by its positionals and by exact,
+    unrepeated long options whose values convert; none of them may start
+    with "-". Any other argv gives None, and argparse reads it: help,
+    "--n=3", abbreviations, repeats, negative numbers and every error."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    arguments = spec[1]
+    options = {flag: keywords for flag, keywords in arguments if flag.startswith("-")}
+    modes = [flag for flag, keywords in options.items() if keywords.get("action") == "store_true"]
+    names = [flag for flag, _ in arguments if flag not in options]
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None or token in given:
+            return None
+        if token in modes:
+            given[token] = True
+            continue
+        text = next(tokens, "-")  # with no value left, declined below
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[token] = value
+    if len(positionals) != len(names) or (modes and sum(f in given for f in modes) != 1):
+        return None
+    # looked up now, as build_parser does: a tracer may rebind cmd_* after import
+    values = dict(zip(names, positionals), command=argv[0], func=globals()["cmd_" + argv[0]])
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if flag in modes else None)
+        values[keywords.get("dest", flag[2:].replace("-", "_"))] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -410,5 +486,17 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry: `main`, then exit with its code. Freezing every
+    object first spares the interpreter's final collections a walk over
+    all live objects; atexit handlers, the stream flushes and the frees
+    of reference counting still run."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

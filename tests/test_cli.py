@@ -1,6 +1,7 @@
 """CLI surface: outputs, exit codes, round-trips, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import avpoly
 from avpoly import distribution as dist
 from avpoly import inverse as inv
-from avpoly.cli import MOMENTS_CAP, PRECISION_CAP, RECURRENCE_CAP, TREE_CAP, main
+from avpoly import cli
+from avpoly.cli import MOMENTS_CAP, PRECISION_CAP, RECURRENCE_CAP, TREE_CAP, build_parser, main
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -160,6 +162,27 @@ DIST_N2_STDOUT = {
 def test_dist_n2_stdout_bytes(capsys, method, name, fmt):
     expected = DIST_N2_STDOUT[fmt] % name
     assert run(capsys, "dist", "--n", "2", "--method", method, "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--n", "7"],
+        ["dist", "--n", "0", "--method", "enum"],
+        ["dist", "--n", "9", "--method", "closed"],
+        ["moments", "--n", "7"],
+        ["moments", "--n", str(MOMENTS_CAP)],
+        ["reduce", "INSTANCE"],
+        ["reduce", "INSTANCE", "--with-partition", "[[1, 2, 3]]"],
+    ],
+    ids=" ".join,
+)
+def test_json_records_are_what_json_dumps_writes(capsys, tmp_path, argv):
+    # the CLI writes its records without the json module
+    path = write_instance(tmp_path, n=1, C=26, a=[7, 9, 10])
+    code, out, _ = run(capsys, *[path if a == "INSTANCE" else a for a in argv])
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_dist_enum_cap(capsys, monkeypatch):
@@ -925,6 +948,113 @@ def test_help_stdout_bytes(capsys, monkeypatch, command):
 
 
 # ---------------------------------------------------------------------------
+#  plain argv, read without argparse
+# ---------------------------------------------------------------------------
+
+# argv that argparse must read: help, "--opt=value", abbreviations,
+# repeats, values and positionals starting with "-", and every error
+DECLINED = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["nosuch"],
+    ["dist", "--help"],
+    ["dist", "-h", "--n", "3"],
+    ["dist", "--n=3"],
+    ["dist", "--nn", "3"],
+    ["dist", "--n", "3", "--meth", "rec"],
+    ["dist", "--n", "3", "--n", "4"],
+    ["dist", "--n", "-1"],
+    ["dist", "--n", "x"],
+    ["dist", "--n", "1_0"],
+    ["dist", "--n"],
+    ["dist"],
+    ["dist", "--n", "3", "--method", "x"],
+    ["dist", "--n", "3", "--out", "--format"],
+    ["dist", "--n", "3", "extra"],
+    ["dist", "--n", "3", "--"],
+    ["label"],
+    ["label", "--", "(())"],
+    ["label", "-1"],
+    ["label", "()", "()"],
+    ["invert", "q"],
+    ["invert", "--general"],
+    ["invert", "q", "--general", "--height2"],
+    ["invert", "q", "--general", "--general"],
+    ["invert", "q", "--general", "--budget", "-5"],
+    ["reduce", "inst.json", "--lambda=2"],
+    ["checkfe", "--order", " 5"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=lambda a: " ".join(a) or "empty")
+def test_the_plain_reader_leaves_these_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+# argv the plain reader reads: every shape the benchmark runs, and other
+# option orders
+ACCEPTED = [
+    ["dist", "--n", "72"],
+    ["dist", "--n", "9", "--method", "enum", "--format", "text"],
+    ["dist", "--format", "text", "--n", "16", "--method", "closed", "--out", "a.txt"],
+    ["curve", "--n", "80", "--precision", "6"],
+    ["moments", "--n", "1"],
+    ["moments", "--n", "90", "--format", "text"],
+    ["checkfe", "--order", "50"],
+    ["label", "(()(()))"],
+    ["label", ""],
+    ["invert", "[[2, 1], [3, 1]]", "--general", "--budget", "1000"],
+    ["invert", "--general", "q^2 + q^3"],
+    ["invert", "[[2, 3], [3, 3]]", "--height2"],
+    ["reduce", "inst.json", "--with-partition", "[[1, 2, 3]]"],
+    ["reduce", "--lambda", "2", "inst.json", "--format", "text"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    args = cli._read_plain(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_the_plain_reader_reads_every_benchmark_job(monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    jobs = [workloads.setup_job(), *(j for w in workloads.WORKLOADS for j in workloads.universe(w))]
+    for job in jobs:
+        args = cli._read_plain(list(job.args))
+        assert args is not None, job.args
+        assert vars(args) == vars(build_parser().parse_args(list(job.args))), job.args
+
+
+@st.composite
+def odd_argvs(draw, paths):
+    """`argvs`, with an option given twice and with tokens inserted
+    that only argparse reads."""
+    argv = draw(argvs(paths))
+    options = [i for i, a in enumerate(argv) if a.startswith("--")]
+    if options and draw(st.booleans()):
+        i = draw(st.sampled_from(options))
+        argv += argv[i : i + 2]
+    for token in draw(st.lists(st.sampled_from(["--n=3", "--meth", "-h", "--help", "--", "-1"]), max_size=2)):
+        argv.insert(draw(st.integers(min(1, len(argv)), len(argv))), token)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_plain_reader_agrees_with_argparse(instance_files, data):
+    argv = data.draw(odd_argvs(instance_files))
+    args = cli._read_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+# ---------------------------------------------------------------------------
 #  package exports
 # ---------------------------------------------------------------------------
 
@@ -1029,12 +1159,12 @@ def test_startup_leaves_out_unneeded_modules(capsys, tmp_path):
 def _executed_modules(script: str) -> str:
     """stderr of `script` run with -S, after which one line names the
     avpoly modules executed (a module whose type is still the lazy one
-    was never used) and says whether json was imported."""
+    was never used) and says whether json and argparse were imported."""
     script += (
         "import types\n"
         "executed = sorted(name.removeprefix('avpoly.') for name, module in sys.modules.items()\n"
         "                  if name.startswith('avpoly.') and type(module) is types.ModuleType)\n"
-        "print(executed, 'json' in sys.modules, file=sys.stderr)\n"
+        "print(executed, 'json' in sys.modules, 'argparse' in sys.modules, file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
     proc = subprocess.run(
@@ -1046,41 +1176,101 @@ def _executed_modules(script: str) -> str:
 
 
 def test_importing_the_package_executes_no_module():
-    assert _executed_modules("import sys, avpoly\nfrom avpoly import tree\n") == "[] False\n"
+    assert _executed_modules("import sys, avpoly\nfrom avpoly import tree\n") == "[] False False\n"
 
 
 RECURRENCE_MODULES = {"cli", "distribution", "polyalg"}
 INVERSE_MODULES = {"cli", "inverse", "polyalg", "tree"}
 
 
-# (argv, the package modules it executes, whether it imports json)
+# (argv, the package modules it executes, whether it imports json, and
+# argparse); json is imported only to read JSON, argparse only for help
+# and errors
 EXECUTED = [
-    (["label", "(())"], {"cli", "polyalg", "tree"}, False),
-    (["moments", "--n", "1"], RECURRENCE_MODULES, True),
-    (["moments", "--n", "2", "--format", "text"], RECURRENCE_MODULES, False),
-    (["curve", "--n", "3"], RECURRENCE_MODULES, False),
-    (["checkfe", "--order", "3"], RECURRENCE_MODULES, False),
-    (["dist", "--n", "3"], RECURRENCE_MODULES, True),
-    (["dist", "--n", "3", "--method", "closed", "--format", "text"], RECURRENCE_MODULES, False),
-    (["dist", "--n", "3", "--method", "enum", "--format", "text"], RECURRENCE_MODULES | {"tree"}, False),
-    (["invert", "q^2 + q^3", "--general"], INVERSE_MODULES, False),
-    (["invert", "[[2, 1], [3, 1]]", "--height2"], INVERSE_MODULES, True),
-    (["reduce", "INSTANCE", "--format", "text"], INVERSE_MODULES, True),
+    (["label", "(())"], {"cli", "polyalg", "tree"}, False, False),
+    (["moments", "--n", "1"], RECURRENCE_MODULES, False, False),
+    (["moments", "--n", "2", "--format", "text"], RECURRENCE_MODULES, False, False),
+    (["curve", "--n", "3"], RECURRENCE_MODULES, False, False),
+    (["checkfe", "--order", "3"], RECURRENCE_MODULES, False, False),
+    (["dist", "--n", "3"], RECURRENCE_MODULES, False, False),
+    (["dist", "--n", "3", "--method", "closed", "--format", "text"], RECURRENCE_MODULES, False, False),
+    (["dist", "--n", "3", "--method", "enum", "--format", "text"], RECURRENCE_MODULES | {"tree"}, False, False),
+    (["invert", "q^2 + q^3", "--general"], INVERSE_MODULES, False, False),
+    (["invert", "[[2, 1], [3, 1]]", "--height2"], INVERSE_MODULES, True, False),
+    (["reduce", "INSTANCE", "--format", "text"], INVERSE_MODULES, True, False),
+    (["dist", "--help"], {"cli"}, False, True),
+    (["dist", "--n", "x"], {"cli", "polyalg"}, False, True),
 ]
 
 
-@pytest.mark.parametrize("argv, modules, uses_json", EXECUTED, ids=[" ".join(c[0]) for c in EXECUTED])
-def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, modules, uses_json):
+@pytest.mark.parametrize(
+    "argv, modules, uses_json, uses_argparse", EXECUTED, ids=[" ".join(c[0]) for c in EXECUTED]
+)
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, modules, uses_json, uses_argparse):
     instance = tmp_path / "inst.json"
     instance.write_text('{"n": 1, "C": 26, "a": [7, 9, 10]}')
     argv = [str(instance) if a == "INSTANCE" else a for a in argv]
-    script = f"import sys, avpoly.cli\nif avpoly.cli.main({argv!r}) != 0: sys.exit('failed')\n"
-    assert _executed_modules(script) == f"{sorted(modules)} {uses_json}\n"
+    script = (
+        "import sys, avpoly.cli\n"
+        "try:\n"
+        f"    code = avpoly.cli.main({argv!r})\n"
+        "except SystemExit:  # argparse printed help or an error\n"
+        "    code = 0\n"
+        "if code != 0: sys.exit('failed')\n"
+    )
+    # argparse's error comes first on stderr
+    last = _executed_modules(script).splitlines()[-1]
+    assert last == f"{sorted(modules)} {uses_json} {uses_argparse}"
 
 
 def test_importing_cli_from_the_package_executes_only_cli():
     # the import system asks the package for `cli` through hasattr first
-    assert _executed_modules("import sys\nfrom avpoly import cli\n") == "['cli'] False\n"
+    assert _executed_modules("import sys\nfrom avpoly import cli\n") == "['cli'] False False\n"
+
+
+# ---------------------------------------------------------------------------
+#  process entry
+# ---------------------------------------------------------------------------
+
+
+def test_run_freezes_the_heap_and_exits_with_the_code_of_main(capsys, monkeypatch):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    # main returns 0 and 1; argparse raises SystemExit(2)
+    for argv, code in [(["moments", "--n", "1"], 0), (["invert", "q^0", "--general"], 1),
+                       (["dist", "--n", "x"], 2)]:
+        monkeypatch.setattr(sys, "argv", ["avpoly", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert len(frozen) == 1
+        frozen.clear()
+        # main alone, as tests and the benchmark's tracer call it, collects as before
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert frozen == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["dist", "--n", "3"], 0), (["invert", "q^0", "--general"], 1),
+     (["dist", "--n", "x"], 2), (["dist", "--help"], 0)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_module_entry_matches_main(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    expected = (code, *capsys.readouterr())
+    assert (got, *expected[1:]) == expected
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    for module in ("avpoly", "avpoly.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, module
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1313,10 @@ def _flag(name, values):
 
 
 def _argv(command, *parts):
-    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+    # the parts (a positional, or an option and its value) in any order
+    return st.tuples(*parts).flatmap(st.permutations).map(
+        lambda ps: [command] + [a for p in ps for a in p]
+    )
 
 
 @pytest.fixture(scope="module")
