@@ -14,17 +14,16 @@ Exit codes: 0 success, 1 negative mathematical answer (NO / identity
 fails), 2 input or validation error, 3 I/O error (also when stdout
 closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 
-`dist --method enum` refuses sizes above the fixed enumeration cap 13
-(`distribution.DEFAULT_ENUM_CAP`). `dist --method rec`,
-`dist --method closed`, `curve` and `checkfe` refuse sizes above
-RECURRENCE_CAP; `moments` refuses sizes above MOMENTS_CAP, and exits 2
-as well when a lowered int-to-str limit cannot print its fractions;
-`invert` (both modes) and `reduce --with-partition` refuse to build a
-tree of more than TREE_CAP vertices; `curve --precision` must lie in
-1..PRECISION_CAP, and `invert --budget` must be >= 0. JSON input must
-have the documented shape, with integers (or the decimal strings
-`reduce` prints) where numbers go; anything else exits 2. Integer
-options, like those strings, are ASCII digits after an optional "-".
+Each integer option's range is declared beside it in `_COMMANDS`, and a
+value outside it exits 2. `dist` checks its cap itself, by `--method`:
+the fixed enumeration cap 13 (`distribution.DEFAULT_ENUM_CAP`) for enum,
+RECURRENCE_CAP for the others. `moments` exits 2 as well when a lowered
+int-to-str limit cannot print its fractions. `invert` (both modes) and
+`reduce --with-partition` refuse to build a tree of more than TREE_CAP
+vertices. JSON input must have the documented shape, with integers (or
+the decimal strings `reduce` prints) where numbers go; anything else
+exits 2. Integer options, like those strings, are ASCII digits after an
+optional "-".
 """
 
 from __future__ import annotations
@@ -164,47 +163,44 @@ def _parse_poly_arg(text: str) -> polyalg.Poly:
 
 
 def cmd_label(args) -> int:
+    from collections import Counter  # `tree` imports collections.abc anyway
+
     try:
         root = tree.parse_tree(args.encoding)
     except tree.TreeParseError as exc:
         return _fail(str(exc), 2)
-    # one preorder walk gives the labeled encoding and the labels; a child
-    # is labeled its parent's label plus its subtree's size
-    out, labels = [], []
+    # one preorder walk gives the labels: a child is labeled its parent's
+    # label plus its subtree's size
+    labels = []
     stack = [(root, 0)]
     while stack:
-        item = stack.pop()
-        if item is None:  # the subtree of an open vertex ends
-            out.append(")")
-            continue
-        node, label = item
-        text = str(label)
-        labels.append(text)
-        out.append("(" + text)
-        stack.append(None)
+        node, label = stack.pop()
+        labels.append(label)
         stack.extend([(child, label + child.size) for child in reversed(node.children)])
-    print("".join(out))
-    print("labels: " + ",".join(labels))
-    print("polynomial: " + tree.avalanche_poly(root).to_text())
+    texts = list(map(str, labels))
+    # the k-th "(" of the encoding opens the k-th vertex in preorder
+    pieces = args.encoding.split("(")[1:]
+    print("".join(["(" + text + piece for text, piece in zip(texts, pieces)]))
+    print("labels: " + ",".join(texts))
+    # the polynomial counts the labels of the vertices below the root
+    print("polynomial: " + polyalg.Poly(Counter(labels[1:])).to_text())
     return 0
 
 
 def cmd_dist(args) -> int:
     n = args.n
     method = _METHOD_NAMES[args.method]
-    if n < 0:
-        return _fail("--n must be >= 0", 2)
-    try:
-        if args.method == "enum":
-            poly = dist.distribution_by_enumeration(n)
-        elif n > RECURRENCE_CAP:
-            return _fail(f"--n exceeds the {method} cap {RECURRENCE_CAP}", 2)
-        elif args.method == "rec":
-            poly = dist.distribution_by_recurrence(n)
-        else:
-            poly = dist.distribution_by_closed_form(n)
-    except ValueError as exc:  # EnumerationCapExceeded is one
-        return _fail(str(exc), 2)
+    # the one range `main` leaves: reading DEFAULT_ENUM_CAP there would
+    # execute `distribution` for every command
+    cap = dist.DEFAULT_ENUM_CAP if args.method == "enum" else RECURRENCE_CAP
+    if n > cap:
+        return _fail(f"--n exceeds the {method} cap {cap}", 2)
+    if args.method == "enum":
+        poly = dist.distribution_by_enumeration(n)
+    elif args.method == "rec":
+        poly = dist.distribution_by_recurrence(n)
+    else:
+        poly = dist.distribution_by_closed_form(n)
     if args.format == "text":
         text = f"A_{n} ({method}) = {poly.to_text()}"
     else:
@@ -213,10 +209,6 @@ def cmd_dist(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.n < 1:
-        return _fail("--n must be >= 1", 2)
-    if args.n > MOMENTS_CAP:
-        return _fail(f"--n exceeds the moments cap {MOMENTS_CAP}", 2)
     report = dist.moment_report(args.n)
     try:
         if args.format == "text":
@@ -239,14 +231,6 @@ def cmd_moments(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.n < 1:
-        return _fail("--n must be >= 1", 2)
-    if args.n > RECURRENCE_CAP:
-        return _fail(f"--n exceeds the recurrence cap {RECURRENCE_CAP}", 2)
-    if args.precision < 1:
-        return _fail("--precision must be >= 1", 2)
-    if args.precision > PRECISION_CAP:
-        return _fail(f"--precision exceeds {PRECISION_CAP}", 2)
     points = dist.normalized_curve(args.n)
     return _emit("\n".join(dist.curve_csv_lines(points, args.precision)), args.out)
 
@@ -259,8 +243,6 @@ def cmd_invert(args) -> int:
     except ValueError as exc:  # json.JSONDecodeError is one
         return _fail(f"bad polynomial: {exc}", 2)
     budget = inv.DEFAULT_BUDGET if args.budget is None else args.budget
-    if budget < 0:
-        return _fail("--budget must be >= 0", 2)
     vertices = 1 + poly.moment()
     if vertices > TREE_CAP:
         return _tree_cap_fail(vertices)
@@ -335,10 +317,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_checkfe(args) -> int:
-    if args.order < 1:
-        return _fail("--order must be >= 1", 2)
-    if args.order > RECURRENCE_CAP:
-        return _fail(f"--order exceeds the recurrence cap {RECURRENCE_CAP}", 2)
     mismatch = dist.functional_equation_mismatch(args.order)
     if mismatch is None:
         print(f"functional equation holds to order {args.order}")
@@ -356,32 +334,34 @@ _OUT = ("--out", {"metavar": "PATH"})
 
 # Each subcommand's help and arguments, in help order: (name, add_argument
 # keywords). A store_true flag joins the subcommand's required group of
-# mutually exclusive modes (`invert --height2 | --general`).
+# mutually exclusive modes (`invert --height2 | --general`). An integer
+# option's "range", the one keyword argparse is not given, is (lower bound,
+# cap or None, the cap's name in its message or None); `main` checks it.
 _COMMANDS = {
     "label": ("label a tree encoding", [
         ("encoding", {"help": "parenthesis encoding, e.g. '((()))'"}),
     ]),
     "dist": ("distribution polynomial for size n", [
-        ("--n", {"type": _int, "required": True}),
+        ("--n", {"type": _int, "required": True, "range": (0, None, None)}),
         ("--method", {"choices": _METHOD_NAMES, "default": "rec"}),
         _FORMAT,
         _OUT,
     ]),
     "moments": ("exact moments and asymptotic ratios", [
-        ("--n", {"type": _int, "required": True}),
+        ("--n", {"type": _int, "required": True, "range": (1, MOMENTS_CAP, "moments")}),
         _FORMAT,
         _OUT,
     ]),
     "curve": ("renormalized distribution as CSV", [
-        ("--n", {"type": _int, "required": True}),
-        ("--precision", {"type": _int, "default": 12}),
+        ("--n", {"type": _int, "required": True, "range": (1, RECURRENCE_CAP, "recurrence")}),
+        ("--precision", {"type": _int, "default": 12, "range": (1, PRECISION_CAP, None)}),
         _OUT,
     ]),
     "invert": ("find trees with a given polynomial", [
         ("polynomial", {"help": "text form like 'q^3 + 2*q^4' or JSON pairs"}),
         ("--height2", {"action": "store_true"}),
         ("--general", {"action": "store_true"}),
-        ("--budget", {"type": _int}),
+        ("--budget", {"type": _int, "range": (0, None, None)}),
     ]),
     "reduce": ("reduction polynomial of an instance file", [
         ("instance", {"help": "JSON file with n, C, a, optional lambda"}),
@@ -394,7 +374,7 @@ _COMMANDS = {
         _OUT,
     ]),
     "checkfe": ("check the series identity to an order", [
-        ("--order", {"type": _int, "required": True}),
+        ("--order", {"type": _int, "required": True, "range": (1, RECURRENCE_CAP, "recurrence")}),
     ]),
 }
 
@@ -417,7 +397,7 @@ def build_parser():
             if keywords.get("action") == "store_true":
                 modes = modes or p.add_mutually_exclusive_group(required=True)
                 target = modes
-            target.add_argument(flag, **keywords)
+            target.add_argument(flag, **{k: v for k, v in keywords.items() if k != "range"})
         p.set_defaults(func=globals()["cmd_" + name])
     return parser
 
@@ -472,9 +452,28 @@ def _read_plain(argv: list[str]):
     return SimpleNamespace(**values)
 
 
+def _range_error(args) -> str | None:
+    """The message for the first integer option outside its range, in
+    `_COMMANDS` order; None if every one lies inside."""
+    for flag, keywords in _COMMANDS[args.command][1]:
+        # a ranged option has no "dest": its name is the flag's
+        value = getattr(args, flag[2:]) if "range" in keywords else None
+        if value is None:  # no range, or `invert` without --budget
+            continue
+        low, cap, name = keywords["range"]
+        if value < low:
+            return f"{flag} must be >= {low}"
+        if cap is not None and value > cap:
+            return f"{flag} exceeds the {name} cap {cap}" if name else f"{flag} exceeds {cap}"
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv) or build_parser().parse_args(argv)
+    error = _range_error(args)
+    if error is not None:
+        return _fail(error, 2)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -210,8 +210,8 @@ def distribution_by_closed_form(n: int) -> polyalg.Poly:
     on dense lists instead of packed ints, so agreeing with the
     recurrence checks the packing, not the mathematics.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     cat = [polyalg.catalan(k) for k in range(n + 1)]
     g: list[list[int]] = [[]]
     total = [0] * (n * (n + 1) // 2 + 1)

@@ -103,6 +103,13 @@ def validate_instance(inst: ThreePartitionInstance):
         raise InstanceValidationError("lambda must be >= 1")
 
 
+def _check_poly(tree: PlaneTree, poly: Poly):
+    """The solvers' self-check, an explicit raise so that `python -O`,
+    which strips assert statements, keeps it."""
+    if avalanche_poly(tree) != poly:
+        raise AssertionError(f"built a tree whose polynomial is not {poly.to_text():.60}")
+
+
 # ---------------------------------------------------------------------------
 #  Height-2 greedy
 # ---------------------------------------------------------------------------
@@ -143,7 +150,7 @@ def solve_height2(poly: Poly) -> InverseResult:
         counts[j] = 0
 
     tree = PlaneTree(chain.from_iterable(repeat(b, c) for b, c in runs))
-    assert avalanche_poly(tree) == poly
+    _check_poly(tree, poly)
     return InverseResult("found", [tree])
 
 
@@ -445,7 +452,7 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
 
     solutions = [parse_tree(enc) for enc in sorted(found)]
     for tree in solutions:
-        assert avalanche_poly(tree) == poly
+        _check_poly(tree, poly)
     return InverseResult(status, solutions, budget - spare)
 
 
@@ -511,7 +518,7 @@ def build_reduction_tree(inst: ThreePartitionInstance, solution) -> PlaneTree:
             branches.append(PlaneTree(repeat(leaf, w - 1)))
         groups.append(PlaneTree(branches))
     tree = PlaneTree(groups)
-    assert avalanche_poly(tree) == reduction_poly(inst)
+    _check_poly(tree, reduction_poly(inst))
     return tree
 
 

@@ -61,12 +61,7 @@ def test_criterion_2_method_triple_equivalence():
     ok = True
     for n in range(14):  # up to the enumeration cap, where W is tightest
         enum = distribution_by_enumeration(n)
-        rec = distribution_by_recurrence(n)
-        if n >= 1:
-            closed = distribution_by_closed_form(n)
-            ok = ok and enum == rec == closed
-        else:
-            ok = ok and enum == rec == Poly()
+        ok = ok and enum == distribution_by_recurrence(n) == distribution_by_closed_form(n)
     assert report(2, ok, t0, "three methods agree exactly for n <= 13")
 
 

@@ -211,9 +211,12 @@ def test_dist_enum_cap_refuses_before_counting_trees(capsys, monkeypatch):
     assert "exceeds the enumeration cap 13" in err
 
 
-def test_dist_closed_rejects_zero(capsys):
-    code, _, _ = run(capsys, "dist", "--n", "0", "--method", "closed")
-    assert code == 2
+def test_dist_every_method_prints_the_zero_polynomial_at_n0(capsys):
+    # the closed form's sum over sequences p_1 < ... <= 0 is empty, so all
+    # three routes agree at size 0
+    for method, name in [("enum", "enumeration"), ("rec", "recurrence"), ("closed", "closed")]:
+        expected = f"A_0 ({name}) = 0\n"
+        assert run(capsys, "dist", "--n", "0", "--method", method, "--format", "text") == (0, expected, "")
 
 
 @pytest.mark.parametrize(
@@ -820,6 +823,39 @@ def test_negative_integer_options_reach_each_command_range_check(capsys, argv, m
     assert run(capsys, *argv) == (2, "", f"avpoly: error: {message}\n")
 
 
+# every bound and cap an integer option has, and the cap of each `dist`
+# method; the option the message names holds the value out of range
+RANGE_ERRORS = [
+    (["dist", "--n", "-1"], "--n must be >= 0"),
+    (["dist", "--n", "14", "--method", "enum"], "--n exceeds the enumeration cap 13"),
+    (["dist", "--n", "201"], "--n exceeds the recurrence cap 200"),
+    (["dist", "--method", "closed", "--n", "201"], "--n exceeds the closed cap 200"),
+    (["moments", "--n", "0", "--format", "text"], "--n must be >= 1"),
+    (["moments", "--n", "3576"], "--n exceeds the moments cap 3575"),
+    (["curve", "--n", "0"], "--n must be >= 1"),
+    (["curve", "--n", "201", "--precision", "3"], "--n exceeds the recurrence cap 200"),
+    (["curve", "--n", "3", "--precision", "0"], "--precision must be >= 1"),
+    (["curve", "--n", "3", "--precision", "2147483648"], "--precision exceeds 2147483647"),
+    (["invert", "q", "--general", "--budget", "-1"], "--budget must be >= 0"),
+    (["checkfe", "--order", "0"], "--order must be >= 1"),
+    (["checkfe", "--order", "201"], "--order exceeds the recurrence cap 200"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RANGE_ERRORS, ids=[" ".join(a) for a, _ in RANGE_ERRORS])
+def test_each_range_error_is_the_same_through_both_readers(capsys, monkeypatch, argv, message):
+    option = message.split()[0]
+    i = argv.index(option)
+    joined = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2 :]
+    assert cli._read_plain(joined) is None  # argparse reads "--n=3576"
+    assert (cli._read_plain(argv) is None) == argv[i + 1].startswith("-")
+    if argv[0] != "dist":  # `dist` alone checks its cap, which depends on --method
+        # the range is checked before the command runs
+        monkeypatch.setattr(cli, "cmd_" + argv[0], lambda args: pytest.fail("command ran"))
+    for form in (argv, joined):
+        assert run(capsys, *form) == (2, "", f"avpoly: error: {message}\n"), form
+
+
 # ---------------------------------------------------------------------------
 #  checkfe
 # ---------------------------------------------------------------------------
@@ -1106,7 +1142,7 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
 @pytest.mark.parametrize(
     "argv, spans, counters",
     [
-        (["label", "(())"], {"tree.parse_tree", "tree.avalanche_poly"}, {"tree.PlaneTree.built"}),
+        (["label", "(())"], {"tree.parse_tree"}, {"tree.PlaneTree.built"}),
         (["moments", "--n", "2"], {"distribution.moment_report"}, {"polyalg.catalan.calls"}),
         (["dist", "--n", "4", "--method", "enum"], {"distribution.enumeration"},
          {"polyalg.catalan.calls", "tree.enumerate_trees.yields"}),

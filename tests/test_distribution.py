@@ -54,10 +54,11 @@ def test_small_golden_values(method):
 def test_zero_size():
     assert distribution_by_enumeration(0) == Poly()
     assert distribution_by_recurrence(0) == Poly()
+    assert distribution_by_closed_form(0) == Poly()
 
 
 def test_cross_equivalence_small():
-    for n in range(1, 9):
+    for n in range(9):
         a = distribution_by_enumeration(n)
         assert a == distribution_by_recurrence(n)
         assert a == distribution_by_closed_form(n)
@@ -86,8 +87,9 @@ def test_closed_coefficient_examples():
     # out of range is 0, not an error
     closed = distribution_by_closed_form(5)
     assert closed.coeff(0) == closed.coeff(16) == 0
-    with pytest.raises(ValueError):
-        distribution_by_closed_form(0)
+    # so is size 0: the sum over sequences p_1 < ... <= 0 is empty, as the
+    # other two routes agree
+    assert distribution_by_closed_form(0) == distribution_by_recurrence(0) == Poly()
 
 
 def closed_formula_by_subsets(n: int) -> dict[int, int]:

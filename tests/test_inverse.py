@@ -1,11 +1,15 @@
 """Inverse problem: height-2 greedy, general search, 3-partition reduction."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations_with_replacement, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import avpoly
 from avpoly.inverse import (
     ExtractionError,
     InstanceValidationError,
@@ -702,3 +706,43 @@ def test_reduction_has_a_tree_exactly_when_a_partition_exists(n, top):
                 }
                 assert got == expected, (C, a, lam)
     assert (instances, without) == {1: (156, 0), 2: (105, 26), 3: (86, 22)}[n]
+
+
+# ---------------------------------------------------------------------------
+#  Self-checks
+# ---------------------------------------------------------------------------
+
+SELF_CHECK_SCRIPT = """
+import avpoly.inverse as inv
+from avpoly.polyalg import Poly
+
+inv.avalanche_poly = lambda tree: Poly([(1, 99)])  # a wrong polynomial for every tree
+calls = {
+    "solve_height2": lambda: inv.solve_height2(Poly.from_text("q^3 + 2*q^4")),
+    "solve_general": lambda: inv.solve_general(Poly.from_text("q^2 + q^3")),
+    "build_reduction_tree": lambda: inv.build_reduction_tree(
+        inv.ThreePartitionInstance(n=1, C=26, a=(7, 9, 10)), [[1, 2, 3]]
+    ),
+}
+for name, call in calls.items():
+    try:
+        call()
+        print(name, "returned")
+    except AssertionError:
+        print(name, "raised")
+"""
+
+
+def test_self_checks_survive_python_O():
+    # -O strips assert statements; each solver must still refuse a tree
+    # whose polynomial is not the one asked for
+    src = os.path.dirname(os.path.dirname(avpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split("\n") == [
+        "solve_height2 raised", "solve_general raised", "build_reduction_tree raised", ""
+    ]
