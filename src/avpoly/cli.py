@@ -17,13 +17,13 @@ closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 Each integer option's range is declared beside it in `_COMMANDS`, and a
 value outside it exits 2. `dist` checks its cap itself, by `--method`:
 the fixed enumeration cap 13 (`distribution.DEFAULT_ENUM_CAP`) for enum,
-RECURRENCE_CAP for the others. `moments` exits 2 as well when a lowered
-int-to-str limit cannot print its fractions. `invert` (both modes) and
-`reduce --with-partition` refuse to build a tree of more than TREE_CAP
-vertices. JSON input must have the documented shape, with integers (or
-the decimal strings `reduce` prints) where numbers go; anything else
-exits 2. Integer options, like those strings, are ASCII digits after an
-optional "-".
+RECURRENCE_CAP for the others. `moments` and `reduce` exit 2 as well
+when the int-to-str limit cannot print their numbers. `invert` (both
+modes) and `reduce --with-partition` refuse to build a tree of more than
+TREE_CAP vertices. JSON input must have the documented shape, with
+integers (or the decimal strings `reduce` prints) where numbers go;
+anything else exits 2. Integer options, like those strings, are ASCII
+digits after an optional "-".
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def _tree_cap_fail(vertices: int) -> int:
-    return _fail(f"a tree of {vertices} vertices exceeds the tree cap {TREE_CAP}", 2)
+    try:
+        return _fail(f"a tree of {vertices} vertices exceeds the tree cap {TREE_CAP}", 2)
+    except ValueError:  # a count with more digits than the int-to-str limit
+        return _fail(f"a tree of more vertices than can be printed exceeds the tree cap {TREE_CAP}", 2)
 
 
 def _int(text: str) -> int:
@@ -288,31 +291,31 @@ def cmd_reduce(args) -> int:
         inst = _load_instance(args.instance, args.lam)
     except OSError as exc:
         return _fail(f"cannot read {args.instance}: {exc}", 3)
+    except inv.InstanceValidationError as exc:
+        return _fail(str(exc), 2)
     except (KeyError, ValueError) as exc:
         return _fail(f"bad instance file: {exc}", 2)
+    poly = inv.reduction_poly(inst)
+    tree_field = {}  # {"tree": its encoding} when a partition is given
     try:
-        poly = inv.reduction_poly(inst)
-        built = None
         if args.with_partition is not None:
             partition = _parse_partition(args.with_partition)
             vertices = 1 + poly.moment()
             if vertices > TREE_CAP:
                 return _tree_cap_fail(vertices)
-            built = inv.build_reduction_tree(inst, partition)
-    except (inv.InstanceValidationError, inv.PartitionError) as exc:
+            tree_field["tree"] = inv.build_reduction_tree(inst, partition).encode()
+    except inv.PartitionError as exc:
         return _fail(str(exc), 2)
     except ValueError as exc:
         return _fail(f"bad partition: {exc}", 2)
-    if args.format == "text":
-        lines = [f"polynomial: {poly.to_text()}"]
-        if built is not None:
-            lines.append(f"tree: {built.encode()}")
-        text = "\n".join(lines)
-    else:
-        payload: dict = {"poly": poly.to_pairs()}
-        if built is not None:
-            payload["tree"] = built.encode()
-        text = _record(payload)
+    try:
+        if args.format == "text":
+            lines = [f"polynomial: {poly.to_text()}"] + [f"tree: {t}" for t in tree_field.values()]
+            text = "\n".join(lines)
+        else:
+            text = _record({"poly": poly.to_pairs(), **tree_field})
+    except ValueError as exc:  # the interpreter's int-to-str limit
+        return _fail(f"cannot print the reduction polynomial: {exc}", 2)
     return _emit(text, args.out)
 
 

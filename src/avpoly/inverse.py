@@ -33,7 +33,6 @@ __all__ = [
     "PartitionError",
     "ExtractionError",
     "DEFAULT_BUDGET",
-    "validate_instance",
     "solve_height2",
     "solve_general",
     "scaled_reduction_poly",
@@ -58,16 +57,37 @@ class ExtractionError(ValueError):
     or the scale factor was too small to force uniqueness)."""
 
 
-class ThreePartitionInstance:
+class ThreePartitionInstance(namedtuple("ThreePartitionInstance", "n C a lam")):
     """3n values to split into n triples of equal sum C, with every value
     strictly between C/4 and C/2; `lam` scales the reduction polynomial
-    (values and C are multiplied by lam) and defaults to 3n + 1."""
+    (values and C are multiplied by lam) and defaults to 3n + 1. Checked
+    when made: InstanceValidationError names the first broken constraint."""
 
-    def __init__(self, n: int, C: int, a, lam: int | None = None):
-        self.n = n
-        self.C = C
-        self.a = tuple(a)
-        self.lam = 3 * n + 1 if lam is None else lam
+    __slots__ = ()
+    # `_replace` makes its copy with `_make`, which goes through the checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, n: int, C: int, a, lam: int | None = None):
+        inst = super().__new__(cls, n, C, tuple(a), 3 * n + 1 if lam is None else lam)
+        if inst.n < 1:
+            raise InstanceValidationError("n must be >= 1")
+        if len(inst.a) != 3 * inst.n:
+            raise InstanceValidationError(
+                f"a must contain exactly 3n = {3 * inst.n} values, got {len(inst.a)}"
+            )
+        for i, ai in enumerate(inst.a):
+            # strict bounds C/4 < a_i < C/2, compared in integers
+            if not (4 * ai > inst.C and 2 * ai < inst.C):
+                raise InstanceValidationError(
+                    f"a[{i}] = {ai} violates C/4 < a_i < C/2 for C = {inst.C}"
+                )
+        if sum(inst.a) != inst.n * inst.C:
+            raise InstanceValidationError(
+                f"sum(a) = {sum(inst.a)} must equal n*C = {inst.n * inst.C}"
+            )
+        if inst.lam < 1:
+            raise InstanceValidationError("lambda must be >= 1")
+        return inst
 
 
 class InverseResult(namedtuple("InverseResult", "status trees attempts")):
@@ -79,28 +99,6 @@ class InverseResult(namedtuple("InverseResult", "status trees attempts")):
 
     def __new__(cls, status: str, trees: list[PlaneTree] | None = None, attempts: int = 0):
         return super().__new__(cls, status, [] if trees is None else trees, attempts)
-
-
-def validate_instance(inst: ThreePartitionInstance):
-    """Raise InstanceValidationError naming the first violated constraint."""
-    if inst.n < 1:
-        raise InstanceValidationError("n must be >= 1")
-    if len(inst.a) != 3 * inst.n:
-        raise InstanceValidationError(
-            f"a must contain exactly 3n = {3 * inst.n} values, got {len(inst.a)}"
-        )
-    for i, ai in enumerate(inst.a):
-        # strict bounds C/4 < a_i < C/2, compared in integers
-        if not (4 * ai > inst.C and 2 * ai < inst.C):
-            raise InstanceValidationError(
-                f"a[{i}] = {ai} violates C/4 < a_i < C/2 for C = {inst.C}"
-            )
-    if sum(inst.a) != inst.n * inst.C:
-        raise InstanceValidationError(
-            f"sum(a) = {sum(inst.a)} must equal n*C = {inst.n * inst.C}"
-        )
-    if inst.lam < 1:
-        raise InstanceValidationError("lambda must be >= 1")
 
 
 def _check_poly(tree: PlaneTree, poly: Poly):
@@ -479,9 +477,8 @@ def scaled_reduction_poly(n: int, C: int, a, lam: int) -> Poly:
 
 
 def reduction_poly(inst: ThreePartitionInstance) -> Poly:
-    """Validated reduction polynomial of an instance."""
-    validate_instance(inst)
-    return scaled_reduction_poly(inst.n, inst.C, inst.a, inst.lam)
+    """Reduction polynomial of an instance."""
+    return scaled_reduction_poly(*inst)
 
 
 def _validate_partition(inst: ThreePartitionInstance, solution):
@@ -506,7 +503,6 @@ def build_reduction_tree(inst: ThreePartitionInstance, solution) -> PlaneTree:
     """The canonical solution tree: the root has n children (labeled
     lam*C+1); the k-th has one branch per index in the k-th triple, of
     subtree size lam*a_i, carrying lam*a_i - 1 leaves."""
-    validate_instance(inst)
     _validate_partition(inst, solution)
     lam = inst.lam
     leaf = PlaneTree()  # trees are immutable, so every leaf is this one
@@ -533,7 +529,6 @@ def extract_partition(tree: PlaneTree, inst: ThreePartitionInstance) -> list[lis
     does iff it has size - 1 children). The groups then pass the check
     `build_reduction_tree` applies to a partition. Structural mismatch
     raises ExtractionError."""
-    validate_instance(inst)
     base = inst.lam * inst.C + 1
     if len(tree.children) != inst.n:
         raise ExtractionError(f"root has {len(tree.children)} children, expected n = {inst.n}")

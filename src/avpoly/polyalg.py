@@ -164,7 +164,8 @@ class Poly:
             return cls()
         pairs = []
         for raw in s.split("+"):
-            term = raw.replace(" ", "")
+            # spaces may stand around "*", "^" and "q", never inside a number
+            term = raw if re.search("[0-9] +[0-9]", raw) else raw.replace(" ", "")
             if not term:
                 raise ValueError(f"empty term in polynomial {text!r}")
             m = re.fullmatch(_TERM, term)

@@ -681,6 +681,110 @@ def test_reduce_tree_vertex_cap(capsys, tmp_path, monkeypatch):
     assert calls == [[[1, 2, 3]]]
 
 
+# An instance is checked when it is made: each invalid one exits 2 with
+# the message it had when `reduce` checked it after loading, whatever the
+# options; --lambda 0 names lambda only when all else holds (see the valid
+# instance of the next test). The messages are pinned as they were.
+INVALID_INSTANCES = {
+    "n": ({"n": 0, "C": 26, "a": []}, "n must be >= 1"),
+    "negative n": ({"n": -1, "C": 26, "a": [7, 9, 10]}, "n must be >= 1"),
+    "length": ({"n": 1, "C": 26, "a": [13, 13]}, "a must contain exactly 3n = 3 values, got 2"),
+    "lower bound": ({"n": 1, "C": 26, "a": [6, 10, 10]}, "a[0] = 6 violates C/4 < a_i < C/2 for C = 26"),
+    "upper bound": ({"n": 1, "C": 26, "a": [7, 13, 6]}, "a[1] = 13 violates C/4 < a_i < C/2 for C = 26"),
+    "sum": ({"n": 1, "C": 26, "a": [7, 9, 11]}, "sum(a) = 27 must equal n*C = 26"),
+    "lambda": ({"n": 1, "C": 26, "a": [7, 9, 10], "lambda": 0}, "lambda must be >= 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--lambda", "0"], ["--with-partition", "[[1, 2, 3]]"], ["--lambda", "0", "--with-partition", "[[1, 2]]"]],
+)
+@pytest.mark.parametrize("case", INVALID_INSTANCES)
+def test_reduce_names_the_first_broken_constraint(capsys, tmp_path, case, options):
+    fields, message = INVALID_INSTANCES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(fields))
+    assert run(capsys, "reduce", str(path), *options) == (2, "", f"avpoly: error: {message}\n")
+
+
+def test_reduce_lambda_option_zero_on_a_valid_instance(capsys, tmp_path):
+    path = write_instance(tmp_path, n=1, C=26, a=[7, 9, 10])
+    for options in [[], ["--with-partition", "[[1, 2, 3]]"], ["--with-partition", "[1]"]]:
+        result = run(capsys, "reduce", path, "--lambda", "0", *options)
+        assert result == (2, "", "avpoly: error: lambda must be >= 1\n")
+
+
+@pytest.fixture
+def digits_640():
+    """The int-to-str limit lowered to 640 digits, so that short inputs
+    reach it; the default is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def unprintable_instance(tmp_path):
+    """A valid instance whose reduction polynomial has coefficients of
+    about 700 digits, more than the 640 `digits_640` allows."""
+    C = 4 * 10**400 + 12
+    x = C // 3
+    fields = {"n": 1, "C": str(C), "a": [str(x), str(x), str(C - 2 * x)], "lambda": str(10**300)}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_reduce_reports_a_polynomial_too_long_to_print(capsys, tmp_path, digits_640, fmt):
+    code, out, err = run(capsys, "reduce", unprintable_instance(tmp_path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("avpoly: error: cannot print the reduction polynomial: ")
+    assert err.count("\n") == 1
+
+
+def test_reduce_invalid_instance_too_long_to_print_is_a_bad_instance_file(capsys, tmp_path, digits_640):
+    # n*C has 641 digits, so the sum constraint's message cannot be made;
+    # the error is raised while the file is loaded, with or without a partition
+    C = 4 * 10**639 + 12
+    x = C // 3
+    a = [x, x, C - 2 * x] * 2 + [x, x, C - 2 * x + 1]
+    path = write_instance(tmp_path, n=3, C=str(C), a=[str(v) for v in a])
+    for options in [[], ["--with-partition", "[[1, 2, 3], [4, 5, 6], [7, 8, 9]]"]]:
+        code, out, err = run(capsys, "reduce", path, *options)
+        assert (code, out) == (2, "")
+        assert err.startswith("avpoly: error: bad instance file: Exceeds the limit (640 digits)")
+        assert err.count("\n") == 1
+
+
+TREE_CAP_UNPRINTABLE = (
+    f"avpoly: error: a tree of more vertices than can be printed exceeds the tree cap {TREE_CAP}\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["--height2", "--general"])
+@pytest.mark.parametrize(
+    "polynomial",
+    [json.dumps([[e, "9" * 640] for e in range(1, 11)]), " + ".join(f"{'9' * 640}*q^{e}" for e in range(1, 11))],
+    ids=["pairs", "text"],
+)
+def test_tree_cap_message_without_a_count_too_long_to_print(capsys, digits_640, polynomial, mode):
+    assert run(capsys, "invert", polynomial, mode) == (2, "", TREE_CAP_UNPRINTABLE)
+
+
+def test_reduce_tree_cap_message_without_a_count_too_long_to_print(capsys, tmp_path, digits_640):
+    path = unprintable_instance(tmp_path)
+    assert run(capsys, "reduce", path, "--with-partition", "[[1, 2, 3]]") == (2, "", TREE_CAP_UNPRINTABLE)
+
+
+def test_tree_cap_message_keeps_a_printable_count(capsys, digits_640):
+    vertices = 1 + 10 * int("9" * 639)
+    code, out, err = run(capsys, "invert", json.dumps([[e, "9" * 639] for e in range(1, 11)]), "--general")
+    assert (code, out) == (2, "")
+    assert err == f"avpoly: error: a tree of {vertices} vertices exceeds the tree cap {TREE_CAP}\n"
+
+
 # Malformed JSON, or a number that is not an integer, exits 2 with one
 # stderr line; before, these ended in a traceback or were truncated.
 
@@ -759,6 +863,26 @@ def test_invert_text_takes_only_ascii_digits(capsys, polynomial):
     code, out, err = run(capsys, "invert", polynomial, "--height2")
     assert (code, out) == (2, "")
     assert err.startswith("avpoly: error: bad polynomial: cannot parse polynomial term ")
+
+
+# A space may stand around "+", "*", "^" and "q", never inside a number:
+# "1 0*q" was read as 10*q and exited 0.
+
+
+@pytest.mark.parametrize(
+    "polynomial, term",
+    [("1 0*q", "1 0*q"), ("q^1 0", "q^1 0"), ("1 0", "1 0"), ("q + 2  5*q^2", "2  5*q^2"),
+     ("3*q^2 0 + q", "3*q^2 0")],
+)
+def test_invert_text_rejects_a_space_inside_a_number(capsys, polynomial, term):
+    code, out, err = run(capsys, "invert", polynomial, "--height2")
+    assert (code, out) == (2, "")
+    assert err == f"avpoly: error: bad polynomial: cannot parse polynomial term {term!r}\n"
+
+
+def test_invert_text_still_takes_spaces_around_operators(capsys):
+    for polynomial in ["2 * q ^ 3 + 4*q^4", "2 q^3 + 4 q ^4", "2q^3+4q^4", "\t2*q^3 + 4*q^4\t"]:
+        assert run(capsys, "invert", polynomial, "--height2") == (0, "((()())(()()))\n", "")
 
 
 def test_invert_negative_decimal_string_reaches_the_coefficient_check(capsys):
@@ -1106,7 +1230,7 @@ EXPORTED = {
     ),
     "inverse": (
         "ThreePartitionInstance InverseResult InstanceValidationError PartitionError ExtractionError "
-        "DEFAULT_BUDGET validate_instance solve_height2 solve_general scaled_reduction_poly "
+        "DEFAULT_BUDGET solve_height2 solve_general scaled_reduction_poly "
         "reduction_poly build_reduction_tree extract_partition"
     ),
 }

@@ -22,7 +22,6 @@ from avpoly.inverse import (
     scaled_reduction_poly,
     solve_general,
     solve_height2,
-    validate_instance,
 )
 from avpoly.polyalg import Poly
 from avpoly.tree import PlaneTree, avalanche_poly, enumerate_trees, parse_tree
@@ -544,17 +543,62 @@ def test_reduction_merges_like_terms():
 @pytest.mark.parametrize(
     "inst,needle",
     [
-        (ThreePartitionInstance(n=1, C=26, a=(7, 9, 11)), "sum(a)"),
-        (ThreePartitionInstance(n=1, C=26, a=(6, 10, 10)), "C/4 < a_i < C/2"),
-        (ThreePartitionInstance(n=1, C=26, a=(13, 13)), "3n"),
-        (ThreePartitionInstance(n=1, C=26, a=(7, 9, 10), lam=0), "lambda"),
-        (ThreePartitionInstance(n=0, C=26, a=()), "n must be"),
+        (dict(n=1, C=26, a=(7, 9, 11)), "sum(a)"),
+        (dict(n=1, C=26, a=(6, 10, 10)), "C/4 < a_i < C/2"),
+        (dict(n=1, C=26, a=(13, 13)), "3n"),
+        (dict(n=1, C=26, a=(7, 9, 10), lam=0), "lambda"),
+        (dict(n=0, C=26, a=()), "n must be"),
     ],
 )
 def test_instance_validation_names_constraint(inst, needle):
+    # `inst` holds the constructor's keywords: an instance is checked when made
     with pytest.raises(InstanceValidationError, match=None) as exc:
-        validate_instance(inst)
+        ThreePartitionInstance(**inst)
     assert needle in str(exc.value)
+
+
+# Each constraint alone, then instances that break several: the first
+# broken, in the order n, len(a), bounds, sum, lambda, is the one named.
+# The messages are those `validate_instance` raised before instances were
+# checked when made.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, 26, ()), "n must be >= 1"),
+        ((-1, 26, (7, 9, 10)), "n must be >= 1"),
+        ((1, 26, (13, 13)), "a must contain exactly 3n = 3 values, got 2"),
+        ((1, 26, (6, 10, 10)), "a[0] = 6 violates C/4 < a_i < C/2 for C = 26"),
+        ((1, 26, (7, 13, 6)), "a[1] = 13 violates C/4 < a_i < C/2 for C = 26"),
+        ((1, 26, (7, 9, 11)), "sum(a) = 27 must equal n*C = 26"),
+        ((1, 26, (7, 9, 10), 0), "lambda must be >= 1"),
+        ((1, 26, (7, 9, 10), -3), "lambda must be >= 1"),
+        ((0, 26, (1,), 0), "n must be >= 1"),
+        ((1, 26, (1, 2), 0), "a must contain exactly 3n = 3 values, got 2"),
+        ((1, 26, (7, 9, 1), 0), "a[2] = 1 violates C/4 < a_i < C/2 for C = 26"),
+        ((2, 12, (4, 4, 4, 4, 4, 5), 0), "sum(a) = 25 must equal n*C = 24"),
+    ],
+)
+def test_an_instance_is_checked_when_made(fields, message):
+    with pytest.raises(InstanceValidationError) as exc:
+        ThreePartitionInstance(*fields)
+    assert str(exc.value) == message
+
+
+def test_an_instance_cannot_be_changed_once_made():
+    inst = ThreePartitionInstance(n=1, C=26, a=[7, 9, 10])
+    assert inst == (1, 26, (7, 9, 10), 4)
+    for field in ("n", "C", "a", "lam"):
+        with pytest.raises(AttributeError):
+            setattr(inst, field, 5)
+    with pytest.raises(AttributeError):
+        inst.extra = 1
+    # a changed copy is made by the constructor, so it is checked too
+    with pytest.raises(InstanceValidationError, match="lambda must be >= 1"):
+        inst._replace(lam=0)
+    with pytest.raises(InstanceValidationError, match="sum"):
+        ThreePartitionInstance._make((1, 26, (7, 9, 11), 4))
+    assert inst._replace(lam=2) == (1, 26, (7, 9, 10), 2)
+    assert not hasattr(avpoly.inverse, "validate_instance")
 
 
 def test_build_reduction_tree():
