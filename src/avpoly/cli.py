@@ -14,6 +14,9 @@ Exit codes: 0 success, 1 negative mathematical answer (NO / identity
 fails), 2 input or validation error, 3 I/O error (also when stdout
 closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 
+`--out PATH` writes what stdout would get to PATH as the redirect `> PATH`
+does (see `_emit`), down to leaving it truncated when a write fails.
+
 Each integer option's range is declared beside it in `_COMMANDS`, and a
 value outside it exits 2. `dist` checks its cap itself, by `--method`:
 the fixed enumeration cap 13 (`distribution.DEFAULT_ENUM_CAP`) for enum,
@@ -90,36 +93,17 @@ _int.__name__ = "int"  # argparse's error names it: "invalid int value: '1_0'"
 
 
 def _emit(text: str, out_path: str | None) -> int:
-    """Print to stdout, or write atomically to a file. The file gets the
-    mode a shell redirect would give it: the mode of the file it replaces,
-    or 0o666 less the umask for a new one. A symlink is written through,
-    as a redirect would: its target, dangling or not, is replaced in the
-    target's directory and the link stays."""
+    """Print to stdout, or write to `out_path` as `> out_path` would: the
+    path is opened and truncated, so symlinks (dangling ones too), hard
+    links, FIFOs and devices are written through; an existing file keeps
+    its inode, owner and mode; a new one gets 0o666 less the umask. A
+    write that fails part-way leaves the file truncated, as `>` does."""
     if out_path is None:
         print(text)
         return 0
-    import tempfile  # only the --out path needs it; kept off the start-up path
-
-    # only a link is resolved: realpath would also drop a trailing "/", and
-    # a path naming a directory must fail as a redirect to it does
-    target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
     try:
-        directory = os.path.dirname(os.path.abspath(target))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".avpoly-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text + "\n")
-            try:
-                mode = os.stat(target).st_mode & 0o7777
-            except FileNotFoundError:
-                umask = os.umask(0)  # the only way to read it; put back at once
-                os.umask(umask)
-                mode = 0o666 & ~umask
-            os.chmod(tmp, mode)  # mkstemp makes the file 0o600
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
     except OSError as exc:
         return _fail(f"cannot write {out_path}: {exc}", 3)
     return 0
@@ -127,7 +111,7 @@ def _emit(text: str, out_path: str | None) -> int:
 
 def _json(text: str):
     """json.loads, with nesting too deep for the decoder as ValueError."""
-    import json  # like tempfile, imported only by the commands that read JSON
+    import json  # imported only by the commands that read JSON
 
     try:
         return json.loads(text)

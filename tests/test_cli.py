@@ -8,6 +8,7 @@ import json
 import marshal
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -335,7 +336,7 @@ def test_curve_file_output(capsys, tmp_path):
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
 def test_out_file_gets_the_mode_a_shell_redirect_would(capsys, tmp_path):
-    # the file is written through a temporary file, which mkstemp makes 0o600
+    # as for `>`: an existing file keeps its mode, a new one gets 0o666 less the umask
     new, old = tmp_path / "new.json", tmp_path / "old.csv"
     old.write_text("stale\n")
     old.chmod(0o640)
@@ -385,6 +386,75 @@ def test_curve_unwritable_path_exits_3(capsys, tmp_path):
     assert code == 3
     assert "cannot write" in err
     assert list(tmp_path.iterdir()) == []
+
+
+CURVE_2 = "x,y\n0.5,1.0\n1.0,0.5\n1.5,0.5\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX hard links")
+def test_out_through_a_hard_link_updates_both_names(capsys, tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("old\n")
+    os.link(first, second)
+    assert run(capsys, "curve", "--n", "2", "--out", str(second))[0] == 0
+    assert first.read_text() == second.read_text() == CURVE_2
+    assert second.stat().st_nlink == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+def test_out_to_a_fifo_feeds_its_reader(capsys, tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    # a reader opened first, without blocking, lets --out open the FIFO at
+    # once; the output is far smaller than the pipe buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "curve", "--n", "2", "--out", str(fifo))[0] == 0
+        received = os.read(reader, 4096)
+    finally:
+        os.close(reader)
+    assert received.decode() == CURVE_2
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="chown needs root")
+def test_out_keeps_the_owner_and_mode_of_an_existing_file(capsys, tmp_path):
+    target = tmp_path / "owned.csv"
+    target.write_text("old\n")
+    os.chown(target, 1234, 1234)
+    target.chmod(0o604)
+    assert run(capsys, "curve", "--n", "2", "--out", str(target))[0] == 0
+    info = target.stat()
+    assert (info.st_uid, info.st_gid, info.st_mode & 0o7777) == (1234, 1234, 0o604)
+    assert target.read_text() == CURVE_2
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file size limit")
+def test_out_failing_part_way_leaves_the_file_truncated(capsys, tmp_path):
+    # as `> PATH` would: the file is truncated when opened, so a write cut
+    # short by the file size limit leaves only what was written
+    import resource
+
+    target = tmp_path / "curve.csv"
+    target.write_text("old\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "avpoly", "curve", "--n", "30", "--out", str(target)],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100)),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"avpoly: error: cannot write {target}: ")
+    assert target.read_text() == run(capsys, "curve", "--n", "30")[1][:100]
+
+
+def test_out_failure_names_the_path_given(capsys, tmp_path):
+    target = str(tmp_path / "nodir" / "curve.csv")
+    code, out, err = run(capsys, "curve", "--n", "2", "--out", target)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"avpoly: error: cannot write {target}: ")
+    assert repr(target) in err and ".avpoly-" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_curve_precision_flag(capsys):
@@ -1312,7 +1382,7 @@ def test_startup_leaves_out_unneeded_modules(capsys, tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
-    # --out imports tempfile on demand and still writes the file
+    # and --out still writes the file
     assert target.read_text() == run(capsys, "dist", "--n", "3")[1]
 
 
@@ -1524,3 +1594,71 @@ def test_every_argv_ends_in_a_documented_exit_code(instance_files, data):
         except SystemExit as exc:  # argparse rejects the argv, or prints help
             code = exc.code
     assert code in range(5), (argv, code, err.getvalue())
+
+
+# Numbers of up to 700 digits, beyond the 640-digit int-to-str limit the
+# hostile-input test sets; an optional "-" goes in front where one may.
+DIGITS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(1, 700).map(lambda k: "9" * k),
+    st.text("0123456789", min_size=1, max_size=700),
+)
+SIGNED = st.tuples(st.sampled_from(["", "-"]), DIGITS).map("".join)
+# as a JSON int, or as the decimal string `reduce` prints
+JSON_NUMBER = st.one_of(SIGNED, SIGNED.map(json.dumps))
+
+
+def _poly_text():
+    term = st.tuples(DIGITS, SIGNED).map(lambda ce: f"{ce[0]}*q^{ce[1]}")
+    # "+" only: a leading "-" would make the argument an option to argparse
+    return st.lists(st.one_of(term, DIGITS), min_size=1, max_size=4).map(" + ".join)
+
+
+def _json_pairs():
+    pair = st.tuples(JSON_NUMBER, JSON_NUMBER).map(lambda ec: f"[{ec[0]}, {ec[1]}]")
+    return st.lists(pair, min_size=1, max_size=4).map(lambda ps: "[" + ", ".join(ps) + "]")
+
+
+def _valid_instance(k: int, lam: str) -> str:
+    """A valid n = 1 instance whose C has k + 1 digits."""
+    C = 4 * 10**k + 12
+    x = C // 3
+    return f'{{"n": 1, "C": "{C}", "a": ["{x}", "{x}", "{C - 2 * x}"], "lambda": {lam}}}'
+
+
+def _instance_text():
+    fields = st.tuples(JSON_NUMBER, JSON_NUMBER, st.lists(JSON_NUMBER, min_size=3, max_size=6), JSON_NUMBER)
+    return st.one_of(
+        st.builds(_valid_instance, st.integers(1, 700), JSON_NUMBER),
+        fields.map(lambda f: f'{{"n": {f[0]}, "C": {f[1]}, "a": [{", ".join(f[2])}], "lambda": {f[3]}}}'),
+    )
+
+
+@pytest.fixture(scope="module")
+def hostile_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "instance.json"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_numbers_end_in_a_documented_exit_code(hostile_path, data):
+    hostile_path.write_text(data.draw(_instance_text()))
+    argv = data.draw(st.one_of(
+        st.tuples(st.one_of(_poly_text(), _json_pairs()),
+                  st.sampled_from([["--height2"], ["--general", "--budget", "10000"]]))
+          .map(lambda pm: ["invert", pm[0], *pm[1]]),
+        st.tuples(st.sampled_from([[], ["--with-partition", "[[1,2,3]]"]]),
+                  st.sampled_from([[], ["--format", "text"]]))
+          .map(lambda pf: ["reduce", str(hostile_path), *pf[0], *pf[1]]),
+    ))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in range(5), (argv, code, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

@@ -1,5 +1,6 @@
 """Distribution polynomials, moments, asymptotics, series identity, curve."""
 
+import collections
 import functools
 import itertools
 import math
@@ -92,17 +93,42 @@ def test_closed_coefficient_examples():
     assert distribution_by_closed_form(0) == distribution_by_recurrence(0) == Poly()
 
 
+def closed_term(n: int, parts: tuple) -> int:
+    """The closed formula's coefficient for p_1 < ... < p_k = parts:
+    C_{p_1-1} prod_{i>1} C_{p_i - p_{i-1}} C_{n-p_k+1}."""
+    term = catalan(parts[0] - 1) * catalan(n - parts[-1] + 1)
+    for prev, cur in zip(parts, parts[1:]):
+        term *= catalan(cur - prev)
+    return term
+
+
 def closed_formula_by_subsets(n: int) -> dict[int, int]:
     """Reference: the closed formula term by term, one strictly increasing
     sequence p_1 < ... < p_k <= n per nonempty subset of 1..n."""
     coeffs: dict[int, int] = {}
     for k in range(1, n + 1):
         for parts in itertools.combinations(range(1, n + 1), k):
-            term = catalan(parts[0] - 1) * catalan(n - parts[-1] + 1)
-            for prev, cur in zip(parts, parts[1:]):
-                term *= catalan(cur - prev)
-            coeffs[sum(parts)] = coeffs.get(sum(parts), 0) + term
+            coeffs[sum(parts)] = coeffs.get(sum(parts), 0) + closed_term(n, parts)
     return coeffs
+
+
+def test_each_closed_term_counts_its_paths_of_subtree_sizes():
+    # a non-root vertex's label is the sum of the subtree sizes on the path
+    # from the root's child down to it; bucketed by those sizes, read as
+    # p_1 < ... < p_k, the (tree, vertex) pairs count each term on its own,
+    # with no grouping and no recurrence
+    for n in range(1, 10):
+        buckets = collections.Counter()
+        for t in enumerate_trees(n):
+            stack = [(child, ()) for child in t.children]
+            while stack:
+                node, sizes = stack.pop()
+                sizes = (node.size, *sizes)
+                buckets[sizes] += 1
+                stack.extend((child, sizes) for child in node.children)
+        assert len(buckets) == 2**n - 1, n
+        for parts, count in buckets.items():
+            assert count == closed_term(n, parts), (n, parts)
 
 
 def test_closed_coefficient_matches_subset_sum():
