@@ -45,7 +45,7 @@ from . import polyalg, tree
 # Largest size the recurrence and closed-form commands accept. Measured on
 # a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 4.7-6.9 s and
 # 55 MB peak RSS, `curve --n` 5.0-6.7 s and 55 MB, `dist --n --method
-# closed` 12-15 s and 109 MB, and `checkfe --order` 9.1-11.3 s and 118 MB;
+# closed` 17-20 s and 101 MB, and `checkfe --order` 9.1-11.3 s and 118 MB;
 # cost grows faster than n^4.
 RECURRENCE_CAP = 200
 
@@ -75,7 +75,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _tree_cap_fail(vertices: int) -> int:
+def _tree_cap_fail(poly: polyalg.Poly) -> int | None:
+    """Exit 2 if the tree of `poly`, 1 + its coefficient sum vertices, exceeds TREE_CAP."""
+    vertices = 1 + poly.moment()
+    if vertices <= TREE_CAP:
+        return None
     try:
         return _fail(f"a tree of {vertices} vertices exceeds the tree cap {TREE_CAP}", 2)
     except ValueError:  # a count with more digits than the int-to-str limit
@@ -230,9 +234,8 @@ def cmd_invert(args) -> int:
     except ValueError as exc:  # json.JSONDecodeError is one
         return _fail(f"bad polynomial: {exc}", 2)
     budget = inv.DEFAULT_BUDGET if args.budget is None else args.budget
-    vertices = 1 + poly.moment()
-    if vertices > TREE_CAP:
-        return _tree_cap_fail(vertices)
+    if (code := _tree_cap_fail(poly)) is not None:
+        return code
     if args.height2:
         result = inv.solve_height2(poly)
     else:
@@ -284,9 +287,8 @@ def cmd_reduce(args) -> int:
     try:
         if args.with_partition is not None:
             partition = _parse_partition(args.with_partition)
-            vertices = 1 + poly.moment()
-            if vertices > TREE_CAP:
-                return _tree_cap_fail(vertices)
+            if (code := _tree_cap_fail(poly)) is not None:
+                return code
             tree_field["tree"] = inv.build_reduction_tree(inst, partition).encode()
     except inv.PartitionError as exc:
         return _fail(str(exc), 2)

@@ -3,12 +3,12 @@
 Three independent routes compute the same polynomial: exhaustive
 enumeration, a convolution recurrence, and the closed formula over
 strictly increasing exponent sequences, summed by a dynamic programme
-over the last part of the sequence (O(n^2) additions of coefficient
-lists rather than one term per subset of 1..n). On top of those:
+over the first part of the sequence (O(n^2) scaled additions of packed
+ints rather than one term per subset of 1..n). On top of those:
 exact rational mean and variance, floating asymptotic ratios, a
 truncated-series identity check, and the renormalized curve.
 
-The recurrence and the series check run on packed integers (Kronecker
+Every route and the series check run on packed integers (Kronecker
 substitution; D. Harvey, arXiv:0712.4046). A polynomial sum c_e q^e is
 stored as the int sum c_e 2^(W e): each coefficient owns a field of W
 bits, W a multiple of 8, so adding and scaling polynomials becomes
@@ -37,6 +37,11 @@ overflows into the next one:
   belongs to, and all terms are nonnegative, so its fields are at most
   n too. The sum over the C_n trees has every field at most n C_n, so
   no carry crosses a field.
+* The closed form uses the recurrence's W for size n. All terms are
+  nonnegative and A_n = sum_p C_{p-1} G_p with C_{p-1} >= 1, so each
+  field of a G_p or a partial total is at most the same field of A_n,
+  and each field of a pending sum at most a field of G_l / q^l. Fields
+  of A_n are at most n C_n, so no carry crosses a field.
 """
 
 from __future__ import annotations
@@ -197,36 +202,33 @@ def distribution_by_closed_form(n: int) -> polyalg.Poly:
 
         q^(p_1 + ... + p_k) C_{p_1-1} prod_{i>1} C_{p_i - p_{i-1}} C_{n-p_k+1},
 
-    with the terms grouped by their last part. F_p, the sum of
-    q^(sum) C_{p_1-1} prod C_{p_i - p_{i-1}} over the sequences ending at
-    p, does not depend on n and satisfies
+    with the terms grouped by their first part. G_p, the sum of
+    q^(sum) prod_{i>1} C_{p_i - p_{i-1}} C_{n-p_k+1} over the sequences
+    starting at p, satisfies
 
-        F_p = q^p (C_{p-1} + sum_{l<p} C_{p-l} F_l),
-        A_n = sum_{p=1..n} C_{n-p+1} F_p.
+        G_p = q^p (C_{n-p+1} + sum_{l>p} C_{l-p} G_l),
+        A_n = sum_{p=1..n} C_{p-1} G_p.
 
-    g[p] holds the dense coefficients of F_p / q^p, of degree p(p-1)/2.
-    That is O(n^2) scaled additions of coefficient lists, O(n^4) integer
-    operations. F_p is the recurrence's row D_{p-1} (ROADMAP direction 5)
-    on dense lists instead of packed ints, so agreeing with the
-    recurrence checks the packing, not the mathematics.
+    G_p depends on n, so it is a row of no table and agreeing with the
+    recurrence checks the formula. The G_p are made for p = n down to 1,
+    packed at the recurrence's width (see the module docstring); each
+    finished G_p is pushed into the pending sum of every l < p and into
+    the total, so no finished G_p is kept. That is about three times the
+    recurrence's field work: G_p has about (n^2 - p^2)/2 fields.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     cat = [polyalg.catalan(k) for k in range(n + 1)]
-    g: list[list[int]] = [[]]
-    total = [0] * (n * (n + 1) // 2 + 1)
-    for p in range(1, n + 1):
-        acc = [0] * (p * (p - 1) // 2 + 1)
-        acc[0] = cat[p - 1]
+    width = _field_bytes(n)
+    w = 8 * width
+    pending = [0] * (n + 1)  # pending[l] = sum of C_{p-l} G_p made, popped for G_l
+    total = 0
+    for p in range(n, 0, -1):
+        g = (cat[n - p + 1] + pending.pop()) << (w * p)
         for l in range(1, p):
-            c = cat[p - l]
-            for e, v in enumerate(g[l], l):
-                acc[e] += c * v
-        g.append(acc)
-        c = cat[n - p + 1]
-        for e, v in enumerate(acc, p):
-            total[e] += c * v
-    return polyalg.Poly(enumerate(total))
+            pending[l] += cat[p - l] * g
+        total += cat[p - 1] * g
+    return _unpack(total, width, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1662,3 +1662,67 @@ def test_hostile_numbers_end_in_a_documented_exit_code(hostile_path, data):
         sys.set_int_max_str_digits(limit)
     assert code in range(5), (argv, code, err.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+# Integer option text: up to 700 ASCII digits after "", "-" or "+"; and
+# what `int` reads but the CLI's integer rule does not: "+", "_" or a space
+# inside the number, non-ASCII digits; and "".
+OPTION_TEXT = st.one_of(
+    st.tuples(st.sampled_from(["", "-", "+"]), DIGITS).map("".join),
+    st.tuples(DIGITS, st.sampled_from(["_", " "]), DIGITS).map("".join),
+    st.text("0123456789٣۵१３", max_size=8),
+)
+# JSON of any shape, and the one partition of the instance below in two orders
+PARTITION_TEXT = st.one_of(
+    st.sampled_from(["[[1,2,3]]", "[[3,1,2]]"]),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                  st.integers(-(10**700), 10**700)),
+        lambda inner: st.lists(inner, max_size=4),
+        max_leaves=12,
+    ).map(json.dumps),
+)
+
+
+def _builds_a_large_tree(text: str) -> bool:
+    """A --lambda the CLI reads as 51..192307: with the partition, the
+    n = 1, C = 26 instance gives a tree of 2 + 26 lambda vertices, too
+    large to build here yet within the tree cap."""
+    return text.isascii() and text.isdigit() and 50 < int(text) < 192308
+
+
+@pytest.fixture(scope="module")
+def small_instance(tmp_path_factory):
+    path = tmp_path_factory.mktemp("options") / "instance.json"
+    path.write_text('{"n": 1, "C": 26, "a": [7, 9, 10]}')
+    return str(path)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_options_end_in_a_documented_exit_code(small_instance, data):
+    command, option = data.draw(st.sampled_from([
+        (["invert", "q^2 + q^3", "--general"], "--budget"),
+        (["reduce", small_instance], "--lambda"),
+        (["curve", "--n", "3"], "--precision"),
+        (["moments"], "--n"),
+    ]))
+    partition = []
+    if command[0] == "reduce":
+        partition = data.draw(st.one_of(st.just([]), PARTITION_TEXT.map(lambda p: ["--with-partition", p])))
+    value = data.draw(OPTION_TEXT.filter(lambda v: not (partition and _builds_a_large_tree(v))))
+    argv = command + data.draw(st.sampled_from([[option, value], [f"{option}={value}"]])) + partition
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in range(5), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

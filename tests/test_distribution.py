@@ -140,7 +140,7 @@ def test_closed_coefficient_matches_subset_sum():
 
 
 def test_closed_form_matches_recurrence():
-    for n in range(1, 61):
+    for n in [*range(1, 61), 80, 100, 120]:
         assert distribution_by_closed_form(n) == distribution_by_recurrence(n), n
 
 
