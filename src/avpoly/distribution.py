@@ -21,14 +21,10 @@ overflows into the next one:
   partial sum of one, is at most n C_n, so no carry crosses a field.
   Row k is stored shifted, as q^(k+1) (C_k + A_k), the form in which
   every later row uses it, so each row is shifted once.
-* The series check compares two packed sides. Polynomials it is given,
-  which may have any signs and sizes, are packed with W one bit wider
-  than a bound on every field of the difference: a packed int with
-  fields of absolute value below 2^(W-1) is zero only if every field is,
-  so the test is exact. By default it reads the table's rows instead,
-  moved to fields that start at q^1, at the table's W or wider if that
-  cannot hold order C_order; why no bound on the rows' fields is needed
-  there is in `functional_equation_mismatch`.
+* The series check reads the table's rows, moved to fields that start
+  at q^1, at the table's W or wider if that cannot hold order C_order;
+  why no bound on the rows' fields is needed is in
+  `functional_equation_mismatch`.
 * The enumeration folds each tree's own polynomial up from its subtrees,
   P_T = sum over the root's children c of q^|c| (1 + P_c), with the
   recurrence's W for size n. Field e of P_T counts the non-root
@@ -312,13 +308,11 @@ def moment_report(n: int) -> MomentReport:
 
 
 def _pack(poly: polyalg.Poly, width: int) -> int:
-    """sum_e c_e 2^(8 width e) for integer coefficients of any sign: the
-    positive and the negative parts go through bytes separately."""
-    size = (poly.degree() + 1) * width
-    pos, neg = bytearray(size), bytearray(size)
+    """sum_e c_e 2^(8 width e) for nonnegative integer coefficients."""
+    data = bytearray((poly.degree() + 1) * width)
     for e, c in poly.items():
-        (pos if c > 0 else neg)[e * width:(e + 1) * width] = abs(c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        data[e * width:(e + 1) * width] = c.to_bytes(width, "little")
+    return int.from_bytes(data, "little")
 
 
 def _restride(row: int, width: int, new_width: int, skip: int) -> int:
@@ -332,56 +326,39 @@ def _restride(row: int, width: int, new_width: int, skip: int) -> int:
     return _pack(_unpack(row, width, skip), new_width)
 
 
-def functional_equation_mismatch(order: int, polys=None) -> int | None:
-    """First t-order where the radical-free series identity
+def functional_equation_mismatch(order: int) -> int | None:
+    """First t-order where the recurrence table's rows break the
+    radical-free series identity
 
-        A(t,q) (1 - t C(t)) = q t C(t) (C(qt) + A(qt, q))
+        A(t,q) (1 - t C(t)) = q t C(t) (C(qt) + A(qt, q)),
 
-    fails, or None if it holds through `order`. `polys` overrides the
-    distribution polynomials (for sensitivity checks).
+    or None if they satisfy it through `order`.
 
     Order p of the identity, with the A-term moved right, reads
     A_p = sum_{j<p} C_{p-1-j} (q^(j+1) (C_j + A_j) + A_j): the three-part
-    sum, not the single sum the recurrence is built from. Both sides are
-    compared as packed ints, so that the test is exact for any input:
-
-    * `polys` are packed at a width that comes from their absolute
-      coefficient sums, which bounds every field of both sides.
-    * By default the A_k are read from the recurrence table's packed
-      rows with no polynomial built: each row is moved to fields that
-      start at q^1 (`_restride`) and released. Fields are W bits wide,
-      W the table's width or wider if 2^W <= order C_order, so the rows'
-      fields are nonnegative and below 2^W. At the first order p whose
-      row is not the true A_p, every earlier row is, so the right side
-      is the true A_p packed, with fields at most p C_p < 2^W; two packed
-      ints with all fields in [0, 2^W) are equal only if every field is.
-      So the check finds p with no bound on the table's fields. The
-      table's width alone would not do: a table too narrow for its
-      coefficients, whose rows are the true A_k evaluated at q = 2^W
-      with carries, satisfies the identity at q = 2^W."""
+    sum, not the single sum the recurrence is built from. The A_k are read
+    from the table's packed rows with no polynomial built: each row is
+    moved to fields that start at q^1 (`_restride`) and released. Fields
+    are W bits wide, W the table's width or wider if 2^W <= order C_order,
+    so the rows' fields are nonnegative and below 2^W. At the first order
+    p whose row is not the true A_p, every earlier row is, so the right
+    side is the true A_p packed, with fields at most p C_p < 2^W; two
+    packed ints with all fields in [0, 2^W) are equal only if every field
+    is. So the check finds p with no bound on the table's fields. The
+    table's width alone would not do: a table too narrow for its
+    coefficients, whose rows are the true A_k evaluated at q = 2^W with
+    carries, satisfies the identity at q = 2^W."""
     if order < 1:
         raise ValueError("order must be >= 1")
     cat = [polyalg.catalan(k) for k in range(order + 1)]
-    if polys is None:
-        table_width, rows = _recurrence_rows(order)
-        width = max(table_width, _field_bytes(order))
-        a = (_restride(row, table_width, width, k + 2) for k, row in enumerate(rows))
-    else:
-        polys = polys[: order + 1]
-        if len(polys) != order + 1:
-            raise ValueError(f"order {order} needs {order + 1} polynomials, got {len(polys)}")
-        mass = [sum(abs(c) for _, c in poly.items()) for poly in polys]
-        bound = max(
-            mass[p] + sum(cat[p - 1 - j] * (cat[j] + 2 * mass[j]) for j in range(p))
-            for p in range(order + 1)
-        )
-        width = bound.bit_length() // 8 + 1
-        a = [_pack(poly, width) for poly in polys]
+    table_width, rows = _recurrence_rows(order)
+    width = max(table_width, _field_bytes(order))
     w = 8 * width
     # order p reads A_p and the terms of the rows before it, so each A_j is
     # kept only as its term q^(j+1) (C_j + A_j) + A_j
     terms = []
-    for p, a_p in enumerate(a):
+    for p, row in enumerate(rows):
+        a_p = _restride(row, table_width, width, p + 2)
         if a_p != sum(cat[p - 1 - j] * term for j, term in enumerate(terms)):
             return p
         terms.append(((cat[p] + a_p) << (w * (p + 1))) + a_p)

@@ -618,6 +618,12 @@ def test_invert_bad_polynomial(capsys):
     assert "polynomial" in err
 
 
+def test_invert_rejects_an_empty_term(capsys):
+    assert run(capsys, "invert", "q + ", "--general") == (
+        2, "", "avpoly: error: bad polynomial: empty term in polynomial 'q +'\n"
+    )
+
+
 def test_invert_budget_exhausted_exits_4(capsys, tmp_path):
     inst = {"n": 1, "C": 26, "a": [7, 9, 10], "lambda": 4}
     path = tmp_path / "inst.json"
@@ -702,6 +708,19 @@ def test_reduce_with_partition(capsys, tmp_path):
     data = json.loads(out)
     tree = data["tree"]
     assert tree.count("(") == 106
+
+
+@pytest.mark.parametrize(
+    "instance, partition, message",
+    [
+        ({"n": 1, "C": 26, "a": [7, 9, 10]}, "[[1,2,4]]", "index 4 out of range 1..3"),
+        ({"n": 2, "C": 12, "a": [4, 4, 4, 4, 4, 4]}, "[[1,2,3]]", "partition does not cover all 3n indices"),
+    ],
+    ids=["index_out_of_range", "partial_cover"],
+)
+def test_reduce_names_what_is_wrong_with_a_partition(capsys, tmp_path, instance, partition, message):
+    path = write_instance(tmp_path, **instance)
+    assert run(capsys, "reduce", path, "--with-partition", partition) == (2, "", f"avpoly: error: {message}\n")
 
 
 def test_reduce_validation_failure(capsys, tmp_path):
@@ -1064,6 +1083,20 @@ def test_checkfe_small_orders(capsys):
 
 def test_checkfe_rejects_bad_order(capsys):
     assert run(capsys, "checkfe", "--order", "0")[0] == 2
+
+
+def test_checkfe_exits_1_at_the_first_order_that_fails(capsys, monkeypatch):
+    # one more unit at [q^1] A_5 in the table the check reads
+    real = dist._recurrence_rows
+
+    def corrupted(n):
+        width, rows = real(n)
+        rows = list(rows)
+        rows[5] += 1 << (8 * width * 7)  # D_5 holds A_5[1] in field 7
+        return width, rows
+
+    monkeypatch.setattr(dist, "_recurrence_rows", corrupted)
+    assert run(capsys, "checkfe", "--order", "16") == (1, "functional equation fails at order 5\n", "")
 
 
 # ---------------------------------------------------------------------------

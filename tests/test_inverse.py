@@ -629,6 +629,10 @@ def test_build_rejects_bad_partition():
     with pytest.raises(PartitionError):
         # triples of (4,4,4,...) values sum to 12 = C only in the first group
         build_reduction_tree(bad, [[1, 2, 3], [4, 5, 5]])
+    with pytest.raises(PartitionError, match=r"^index 4 out of range 1\.\.3$"):
+        build_reduction_tree(INST, [[1, 2, 4]])
+    with pytest.raises(PartitionError, match="^partition does not cover all 3n indices$"):
+        build_reduction_tree(bad, [[1, 2, 3]])
 
 
 def test_extract_roundtrip():
@@ -651,6 +655,14 @@ def test_extract_rejects_wrong_tree():
     # right polynomial mass but wrong shape
     with pytest.raises(ExtractionError):
         extract_partition(PlaneTree(PlaneTree() for _ in range(105)), INST)
+    # one root child of lam*C+1 = 105 vertices, whose branches carry only leaves
+    for sizes, message in [
+        ((103, 1), r"^label 208 is not lam\*C\+1\+lam\*a for any value$"),
+        ((28, 28, 48), "^no unused instance value 7 for label 133$"),  # a_1 = 7 taken twice
+    ]:
+        branches = [PlaneTree([PlaneTree()] * (size - 1)) for size in sizes]
+        with pytest.raises(ExtractionError, match=message):
+            extract_partition(PlaneTree([PlaneTree(branches)]), INST)
 
 
 def test_extract_reads_subtree_sizes_without_copying_the_tree():
@@ -775,6 +787,21 @@ for name, call in calls.items():
     except AssertionError:
         print(name, "raised")
 """
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_height2(Poly.from_text("q^3 + 2*q^4")),
+        lambda: solve_general(Poly.from_text("q^2 + q^3")),
+        lambda: build_reduction_tree(INST, [[1, 2, 3]]),
+    ],
+    ids=["solve_height2", "solve_general", "build_reduction_tree"],
+)
+def test_self_checks_refuse_a_tree_of_the_wrong_polynomial(monkeypatch, call):
+    monkeypatch.setattr(avpoly.inverse, "avalanche_poly", lambda tree: Poly([(1, 99)]))
+    with pytest.raises(AssertionError, match="^built a tree whose polynomial is not "):
+        call()
 
 
 def test_self_checks_survive_python_O():

@@ -111,6 +111,8 @@ def test_poly_text_forms():
         Poly.from_text("2*")
     with pytest.raises(ValueError):
         Poly.from_text("q^")
+    with pytest.raises(ValueError, match=r"^empty term in polynomial 'q \+ \+ q\^2'$"):
+        Poly.from_text("q + + q^2")
 
 
 def test_poly_pairs_form():
