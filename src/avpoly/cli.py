@@ -17,16 +17,16 @@ closes early, as in `avpoly curve --n 150 | head`), 4 budget exhausted.
 `--out PATH` writes what stdout would get to PATH as the redirect `> PATH`
 does (see `_emit`), down to leaving it truncated when a write fails.
 
+Every cap is defined here; the library refuses no input for its cost.
 Each integer option's range is declared beside it in `_COMMANDS`, and a
 value outside it exits 2. `dist` checks its cap itself, by `--method`:
-the fixed enumeration cap 13 (`distribution.DEFAULT_ENUM_CAP`) for enum,
-RECURRENCE_CAP for the others. `moments` and `reduce` exit 2 as well
-when the int-to-str limit cannot print their numbers. `invert` (both
-modes) and `reduce --with-partition` refuse to build a tree of more than
-TREE_CAP vertices. JSON input must have the documented shape, with
-integers (or the decimal strings `reduce` prints) where numbers go;
-anything else exits 2. Integer options, like those strings, are ASCII
-digits after an optional "-".
+ENUM_CAP for enum, RECURRENCE_CAP for the others. `moments` and `reduce`
+exit 2 as well when the int-to-str limit cannot print their numbers.
+`invert` (both modes) and `reduce --with-partition` refuse to build a
+tree of more than TREE_CAP vertices. JSON input must have the documented
+shape, with integers (or the decimal strings `reduce` prints) where
+numbers go; anything else exits 2. Integer options, like those strings,
+are ASCII digits after an optional "-".
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ from types import SimpleNamespace
 from . import distribution as dist
 from . import inverse as inv
 from . import polyalg, tree
+
+# Largest size `dist --method enum` accepts. Measured on a 2-vCPU x86 VM
+# (Python 3.11): at 13 it takes 1.7-1.8 s and 15 MB peak RSS; n = 12 takes
+# 0.4-0.6 s.
+ENUM_CAP = 13
 
 # Largest size the recurrence and closed-form commands accept. Measured on
 # a 2-vCPU x86 VM (Python 3.11): at 200, `dist --n` takes 4.7-6.9 s and
@@ -63,9 +68,6 @@ MOMENTS_CAP = 3575
 # --with-partition` 0.7-0.8 s and 82 MB at n = 1, 1.3-1.4 s and 92 MB at
 # n = 5000 with lambda = 1.
 TREE_CAP = 5_000_000
-
-# Largest `curve --precision`: float formatting takes a C int precision.
-PRECISION_CAP = 2**31 - 1
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
 
@@ -181,9 +183,7 @@ def cmd_label(args) -> int:
 def cmd_dist(args) -> int:
     n = args.n
     method = _METHOD_NAMES[args.method]
-    # the one range `main` leaves: reading DEFAULT_ENUM_CAP there would
-    # execute `distribution` for every command
-    cap = dist.DEFAULT_ENUM_CAP if args.method == "enum" else RECURRENCE_CAP
+    cap = ENUM_CAP if args.method == "enum" else RECURRENCE_CAP
     if n > cap:
         return _fail(f"--n exceeds the {method} cap {cap}", 2)
     if args.method == "enum":
@@ -324,8 +324,8 @@ _OUT = ("--out", {"metavar": "PATH"})
 # Each subcommand's help and arguments, in help order: (name, add_argument
 # keywords). A store_true flag joins the subcommand's required group of
 # mutually exclusive modes (`invert --height2 | --general`). An integer
-# option's "range", the one keyword argparse is not given, is (lower bound,
-# cap or None, the cap's name in its message or None); `main` checks it.
+# option's "range", which `main` checks and argparse is not given, is
+# (lower bound, cap and the cap's name in its message, or None, None).
 _COMMANDS = {
     "label": ("label a tree encoding", [
         ("encoding", {"help": "parenthesis encoding, e.g. '((()))'"}),
@@ -343,7 +343,7 @@ _COMMANDS = {
     ]),
     "curve": ("renormalized distribution as CSV", [
         ("--n", {"type": _int, "required": True, "range": (1, RECURRENCE_CAP, "recurrence")}),
-        ("--precision", {"type": _int, "default": 12, "range": (1, PRECISION_CAP, None)}),
+        ("--precision", {"type": _int, "default": 12, "range": (1, None, None)}),
         _OUT,
     ]),
     "invert": ("find trees with a given polynomial", [
@@ -453,7 +453,7 @@ def _range_error(args) -> str | None:
         if value < low:
             return f"{flag} must be >= {low}"
         if cap is not None and value > cap:
-            return f"{flag} exceeds the {name} cap {cap}" if name else f"{flag} exceeds {cap}"
+            return f"{flag} exceeds the {name} cap {cap}"
     return None
 
 

@@ -52,8 +52,6 @@ from . import polyalg, tree
 __all__ = [
     "MomentReport",
     "CurvePoint",
-    "EnumerationCapExceeded",
-    "DEFAULT_ENUM_CAP",
     "distribution_by_enumeration",
     "distribution_by_recurrence",
     "distribution_by_closed_form",
@@ -67,19 +65,11 @@ __all__ = [
     "curve_csv_lines",
 ]
 
-# Measured on a 2-vCPU x86 VM (Python 3.11): `dist --n 13 --method enum`
-# takes 1.7-1.8 s and 15 MB peak RSS; n = 12 takes 0.4-0.6 s.
-DEFAULT_ENUM_CAP = 13
-
 # sqrt(pi) for ratio rendering, as text: `decimal` and `fractions` are
 # imported inside the moment functions, so other commands do not load them
 SQRT_PI = "1.77245385090551602729816748334114518279754945612238712821381"
 
 _RATIO_PRECISION = 50
-
-
-class EnumerationCapExceeded(ValueError):
-    """Raised when a request would enumerate more trees than the cap allows."""
 
 
 # Exact moments (Fractions) and their asymptotic ratios (floats), immutable:
@@ -104,14 +94,9 @@ def _field_bytes(n: int) -> int:
 def distribution_by_enumeration(n: int) -> polyalg.Poly:
     """Sum the avalanche polynomial over every tree with n edges, each
     labeled by its subtree sizes as `enumerate_trees` builds it, packed
-    (see the module docstring); n above DEFAULT_ENUM_CAP raises
-    EnumerationCapExceeded."""
+    (see the module docstring)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > DEFAULT_ENUM_CAP:
-        # refuse before computing anything: C_n alone takes seconds and
-        # gigabytes for n in the hundreds of thousands
-        raise EnumerationCapExceeded(f"n={n} exceeds the enumeration cap {DEFAULT_ENUM_CAP}")
     width = _field_bytes(n)
     w = 8 * width
 

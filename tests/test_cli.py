@@ -20,7 +20,7 @@ import avpoly
 from avpoly import distribution as dist
 from avpoly import inverse as inv
 from avpoly import cli
-from avpoly.cli import MOMENTS_CAP, PRECISION_CAP, RECURRENCE_CAP, TREE_CAP, build_parser, main
+from avpoly.cli import MOMENTS_CAP, RECURRENCE_CAP, TREE_CAP, build_parser, main
 from avpoly.tree import avalanche_poly, parse_tree
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -202,7 +202,7 @@ def test_dist_enum_cap_refuses_before_counting_trees(capsys, monkeypatch):
     catalan = avpoly.polyalg.catalan
 
     def guarded(k):
-        if k > dist.DEFAULT_ENUM_CAP:
+        if k > cli.ENUM_CAP:
             raise AssertionError(f"catalan({k}) computed above the enumeration cap")
         return catalan(k)
 
@@ -464,22 +464,17 @@ def test_curve_precision_flag(capsys):
 
 
 def test_curve_precision_cap(capsys):
-    # float formatting takes a C int precision; one more used to end in a
-    # traceback (exit 1)
-    code, out, _ = run(capsys, "curve", "--n", "3", "--precision", str(PRECISION_CAP))
-    assert code == 0
-    # no double has more than MAX_DOUBLE_DIGITS significant digits, so the
-    # oracle is the same text without the cap's 2 GiB buffer
-    assert out.splitlines()[1] == f"{1 / 3:.{dist.MAX_DOUBLE_DIGITS}g},1.0"
-    for precision in (PRECISION_CAP + 1, 10**20):
+    # no double has more than MAX_DOUBLE_DIGITS significant digits, so any
+    # larger precision, also one beyond a C int, prints that many
+    for precision in (2**31 - 1, 2**31, 10**20):
         code, out, err = run(capsys, "curve", "--n", "3", "--precision", str(precision))
-        assert (code, out) == (2, "")
-        assert err == f"avpoly: error: --precision exceeds {PRECISION_CAP}\n"
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"{1 / 3:.{dist.MAX_DOUBLE_DIGITS}g},1.0"
 
 
 def test_curve_precision_cap_under_a_1gib_address_space():
-    # formatting at the cap itself asked for a 2 GiB buffer, a MemoryError
-    # (exit 1) under this limit
+    # the precision is clamped before formatting: unclamped, 2**31 - 1
+    # takes a 2 GiB buffer, a MemoryError (exit 1) under this limit
     resource = pytest.importorskip("resource")
 
     # a hard limit cannot be raised, so keep an inherited one below 1 GiB
@@ -489,7 +484,7 @@ def test_curve_precision_cap_under_a_1gib_address_space():
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    argv = [sys.executable, "-m", "avpoly", "curve", "--n", "3", "--precision", str(PRECISION_CAP)]
+    argv = [sys.executable, "-m", "avpoly", "curve", "--n", "3", "--precision", str(10**20)]
     env = dict(os.environ, PYTHONPATH=str(Path(avpoly.__file__).resolve().parent.parent))
     runs = [
         subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=fn)
@@ -731,8 +726,38 @@ def test_reduce_validation_failure(capsys, tmp_path):
 
 
 def test_reduce_missing_file_exits_3(capsys, tmp_path):
-    code, _, _ = run(capsys, "reduce", str(tmp_path / "absent.json"))
-    assert code == 3
+    path = str(tmp_path / "absent.json")
+    message = f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"
+    assert run(capsys, "reduce", path) == (3, "", f"avpoly: error: {message}\n")
+
+
+# files the input-error rows below read, by name, from the working directory
+INPUT_FILES = {
+    "list.json": "[]",
+    "a-text.json": '{"n": 1, "C": 26, "a": "x"}',
+    "one.json": '{"n": 1, "C": 26, "a": [7, 9, 10]}',
+    "two.json": '{"n": 2, "C": 26, "a": [7, 9, 10, 7, 9, 10]}',
+}
+
+# an argv and the one error line it prints, each with exit 2
+INPUT_ERRORS = [
+    (["invert", "[" * 100_000, "--general"], "bad polynomial: JSON nested too deeply"),
+    (["reduce", "list.json"], "bad instance file: expected a JSON object with n, C, a and optional lambda"),
+    (["reduce", "a-text.json"], "bad instance file: a must be a list of integers, got 'x'"),
+    (["reduce", "one.json", "--with-partition", "{}"], "bad partition: expected a list of index lists, got '{}'"),
+    (["reduce", "two.json", "--with-partition", "[[1,1,2]]"], "index 1 used twice"),
+    (["reduce", "two.json", "--with-partition", "[[1,2,4],[3,5,6]]"], "group [1, 2, 4] sums to 23, expected C = 26"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", INPUT_ERRORS, ids=[" ".join(a)[:40] for a, _ in INPUT_ERRORS]
+)
+def test_each_input_error_prints_its_line_and_exits_2(capsys, tmp_path, monkeypatch, argv, message):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"avpoly: error: {message}\n")
 
 
 def test_reduce_output_feeds_invert(capsys, tmp_path):
@@ -1048,7 +1073,6 @@ RANGE_ERRORS = [
     (["curve", "--n", "0"], "--n must be >= 1"),
     (["curve", "--n", "201", "--precision", "3"], "--n exceeds the recurrence cap 200"),
     (["curve", "--n", "3", "--precision", "0"], "--precision must be >= 1"),
-    (["curve", "--n", "3", "--precision", "2147483648"], "--precision exceeds 2147483647"),
     (["invert", "q", "--general", "--budget", "-1"], "--budget must be >= 0"),
     (["checkfe", "--order", "0"], "--order must be >= 1"),
     (["checkfe", "--order", "201"], "--order exceeds the recurrence cap 200"),
@@ -1326,7 +1350,7 @@ EXPORTED = {
     "polyalg": "Poly Series catalan",
     "tree": "PlaneTree LabeledTree TreeParseError parse_tree avalanche_poly enumerate_trees",
     "distribution": (
-        "MomentReport CurvePoint EnumerationCapExceeded DEFAULT_ENUM_CAP "
+        "MomentReport CurvePoint "
         "distribution_by_enumeration distribution_by_recurrence distribution_by_closed_form "
         "recurrence_polys first_moment_total mean_exact variance_exact "
         "moment_report functional_equation_mismatch normalized_curve curve_csv_lines"
@@ -1446,30 +1470,31 @@ RECURRENCE_MODULES = {"cli", "distribution", "polyalg"}
 INVERSE_MODULES = {"cli", "inverse", "polyalg", "tree"}
 
 
-# (argv, the package modules it executes, whether it imports json, and
-# argparse); json is imported only to read JSON, argparse only for help
-# and errors
+# (argv, its exit code, the package modules it executes, whether it
+# imports json, and argparse); json is imported only to read JSON, argparse
+# only for help and errors
 EXECUTED = [
-    (["label", "(())"], {"cli", "polyalg", "tree"}, False, False),
-    (["moments", "--n", "1"], RECURRENCE_MODULES, False, False),
-    (["moments", "--n", "2", "--format", "text"], RECURRENCE_MODULES, False, False),
-    (["curve", "--n", "3"], RECURRENCE_MODULES, False, False),
-    (["checkfe", "--order", "3"], RECURRENCE_MODULES, False, False),
-    (["dist", "--n", "3"], RECURRENCE_MODULES, False, False),
-    (["dist", "--n", "3", "--method", "closed", "--format", "text"], RECURRENCE_MODULES, False, False),
-    (["dist", "--n", "3", "--method", "enum", "--format", "text"], RECURRENCE_MODULES | {"tree"}, False, False),
-    (["invert", "q^2 + q^3", "--general"], INVERSE_MODULES, False, False),
-    (["invert", "[[2, 1], [3, 1]]", "--height2"], INVERSE_MODULES, True, False),
-    (["reduce", "INSTANCE", "--format", "text"], INVERSE_MODULES, True, False),
-    (["dist", "--help"], {"cli"}, False, True),
-    (["dist", "--n", "x"], {"cli", "polyalg"}, False, True),
+    (["label", "(())"], 0, {"cli", "polyalg", "tree"}, False, False),
+    (["moments", "--n", "1"], 0, RECURRENCE_MODULES, False, False),
+    (["moments", "--n", "2", "--format", "text"], 0, RECURRENCE_MODULES, False, False),
+    (["curve", "--n", "3"], 0, RECURRENCE_MODULES, False, False),
+    (["checkfe", "--order", "3"], 0, RECURRENCE_MODULES, False, False),
+    (["dist", "--n", "3"], 0, RECURRENCE_MODULES, False, False),
+    (["dist", "--n", "3", "--method", "closed", "--format", "text"], 0, RECURRENCE_MODULES, False, False),
+    (["dist", "--n", "3", "--method", "enum", "--format", "text"], 0, RECURRENCE_MODULES | {"tree"}, False, False),
+    (["dist", "--n", "14", "--method", "enum"], 2, {"cli", "polyalg"}, False, False),
+    (["invert", "q^2 + q^3", "--general"], 0, INVERSE_MODULES, False, False),
+    (["invert", "[[2, 1], [3, 1]]", "--height2"], 0, INVERSE_MODULES, True, False),
+    (["reduce", "INSTANCE", "--format", "text"], 0, INVERSE_MODULES, True, False),
+    (["dist", "--help"], 0, {"cli"}, False, True),
+    (["dist", "--n", "x"], 2, {"cli", "polyalg"}, False, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, modules, uses_json, uses_argparse", EXECUTED, ids=[" ".join(c[0]) for c in EXECUTED]
+    "argv, code, modules, uses_json, uses_argparse", EXECUTED, ids=[" ".join(c[0]) for c in EXECUTED]
 )
-def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, modules, uses_json, uses_argparse):
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, code, modules, uses_json, uses_argparse):
     instance = tmp_path / "inst.json"
     instance.write_text('{"n": 1, "C": 26, "a": [7, 9, 10]}')
     argv = [str(instance) if a == "INSTANCE" else a for a in argv]
@@ -1477,11 +1502,11 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, argv, modules,
         "import sys, avpoly.cli\n"
         "try:\n"
         f"    code = avpoly.cli.main({argv!r})\n"
-        "except SystemExit:  # argparse printed help or an error\n"
-        "    code = 0\n"
-        "if code != 0: sys.exit('failed')\n"
+        "except SystemExit as exc:  # argparse printed help or an error\n"
+        "    code = exc.code\n"
+        f"if code != {code}: sys.exit(f'exit {{code}}')\n"
     )
-    # argparse's error comes first on stderr
+    # an error line, argparse's or the command's, comes first on stderr
     last = _executed_modules(script).splitlines()[-1]
     assert last == f"{sorted(modules)} {uses_json} {uses_argparse}"
 
@@ -1552,9 +1577,7 @@ def test_closed_stdout_exits_3_without_a_traceback():
     assert proc.stdout.read(10) == b"x,y\n0.0066"
     proc.stdout.close()
     err = proc.communicate(timeout=60)[1].decode()
-    assert proc.returncode == 3
-    assert "Traceback" not in err and "Exception ignored" not in err
-    assert len(err.splitlines()) == 1
+    assert (proc.returncode, err) == (3, "avpoly: error: stdout closed before the output was written\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from avpoly import distribution, polyalg
 from avpoly.distribution import (
     CurvePoint,
-    EnumerationCapExceeded,
     MomentReport,
     curve_csv_lines,
     distribution_by_closed_form,
@@ -72,11 +71,6 @@ def test_packed_enumeration_matches_summed_tree_polys():
         for t in enumerate_trees(n):
             total = total + avalanche_poly(t)
         assert distribution_by_enumeration(n) == total
-
-
-def test_enumeration_cap_refusal():
-    with pytest.raises(EnumerationCapExceeded):
-        distribution_by_enumeration(14)
 
 
 def test_closed_coefficient_examples():
@@ -198,6 +192,23 @@ def test_recurrence_rejects_negative_size():
         recurrence_polys(-1)
     with pytest.raises(ValueError):
         distribution_by_recurrence(-1)
+
+
+@pytest.mark.parametrize(
+    "function, n, message",
+    [
+        (distribution_by_enumeration, -1, "n must be >= 0"),
+        (distribution_by_closed_form, -1, "n must be >= 0"),
+        (first_moment_total, 0, "n must be >= 1"),
+        (mean_exact, 0, "n must be >= 1"),
+        (variance_exact, 0, "n must be >= 1"),
+        (normalized_curve, 0, "n must be >= 1"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_each_size_check_rejects_the_size_below_its_range(function, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(n)
 
 
 def test_record_constructors_and_immutability():

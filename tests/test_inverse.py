@@ -1,6 +1,7 @@
 """Inverse problem: height-2 greedy, general search, 3-partition reduction."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -100,6 +101,12 @@ def test_height2_exponent_zero_impossible():
 def test_height2_rejects_negative_coefficients():
     with pytest.raises(ValueError):
         solve_height2(Poly([(1, -1), (2, 3)]))
+
+
+@pytest.mark.parametrize("pairs", [[(1, -1)], [(1, 3), (2, -1)]])
+def test_general_rejects_negative_coefficients(pairs):
+    with pytest.raises(ValueError, match="^polynomial must have nonnegative coefficients$"):
+        solve_general(Poly(pairs))
 
 
 def test_height2_leftover_cascade():
@@ -691,6 +698,25 @@ def test_extract_rejects_a_branch_with_a_non_leaf_child():
     assert bad.size == first.size
     with pytest.raises(ExtractionError, match="children, expected"):
         extract_partition(PlaneTree([PlaneTree([bad, *rest])]), INST)
+
+
+def test_extract_names_the_root_or_branch_of_the_wrong_shape():
+    # n = 2, C = 26 and lam = 7: the root needs 2 children, and the branch
+    # of a_1 = 7, labeled 183 + 49 = 232, its 48 leaves
+    inst = ThreePartitionInstance(n=2, C=26, a=(7, 9, 10, 7, 9, 10))
+    g1, g2 = build_reduction_tree(inst, [[1, 2, 3], [4, 5, 6]]).children
+    first, *rest = g1.children
+    # two leaves of the branch become one (()), which keeps its size
+    bad = PlaneTree(list(first.children[2:]) + [PlaneTree([PlaneTree()])])
+    for tree, message in [
+        (PlaneTree([g1]), "root has 1 children, expected n = 2"),
+        (
+            PlaneTree([PlaneTree([bad, *rest]), g2]),
+            "vertex labeled 232 has 47 children, expected lam*a-1 = 48 leaves",
+        ),
+    ]:
+        with pytest.raises(ExtractionError, match=f"^{re.escape(message)}$"):
+            extract_partition(tree, inst)
 
 
 def test_extract_rejects_a_root_child_of_the_wrong_size():

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: Catalan numbers, polynomials, series."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,7 @@ def test_poly_text_forms():
     assert Poly.from_text("q") == Poly([(1, 1)])
     assert Poly.from_text("3") == Poly([(0, 3)])
     assert Poly.from_text("0") == Poly()
+    assert repr(p) == "Poly('5*q^1 + 2*q^2')"
     with pytest.raises(ValueError):
         Poly.from_text("2*")
     with pytest.raises(ValueError):
@@ -120,6 +122,13 @@ def test_poly_pairs_form():
     pairs = p.to_pairs()
     assert pairs == [[1, "5"], [12, str(10**40)]]
     assert Poly.from_pairs(pairs) == p
+
+
+@pytest.mark.parametrize("pairs", ["[[1, 2]]", {"1": 2}, None])
+def test_poly_from_pairs_rejects_a_non_list(pairs):
+    message = f"expected a list of [exponent, coefficient] pairs, got {pairs!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Poly.from_pairs(pairs)
 
 
 @given(polys)

@@ -97,6 +97,7 @@ def test_encode_basics():
     star3 = PlaneTree([PlaneTree(), PlaneTree(), PlaneTree()])
     assert star3.encode() == "(()()())"
     assert parse_tree(FIG1).encode() == FIG1
+    assert repr(star3) == "PlaneTree('(()()())')"
 
 
 @given(tree_shapes)
