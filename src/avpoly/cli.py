@@ -55,7 +55,7 @@ ENUM_CAP = 13
 RECURRENCE_CAP = 200
 
 # Largest size `moments` accepts: one more and the exact variance has over
-# 4300 digits, the int-to-str limit of Python 3.10-3.13 (kept: it guards
+# 4300 digits, the int-to-str limit of Python 3.11-3.13 (kept: it guards
 # against quadratic-time conversion). At 3575 json and text print in 0.17 s.
 MOMENTS_CAP = 3575
 
@@ -63,10 +63,10 @@ MOMENTS_CAP = 3575
 # polynomial (1 + n + lambda n C for `reduce`). Measured at the cap on the
 # same VM: `invert --height2` 0.8-1.0 s and 74 MB peak RSS on the star
 # 4999999*q and on one branch of each size 2..3161, 0.5-0.6 s and 53 MB on
-# the fan 2499999*q^2 + 2499999*q^3; `invert --general` 1.9-2.0 s and
-# 113-130 MB on the star, 39-49 s and 2.19-2.27 GB on the fan; `reduce
-# --with-partition` 0.7-0.8 s and 82 MB at n = 1, 1.3-1.4 s and 92 MB at
-# n = 5000 with lambda = 1.
+# the fan 2499999*q^2 + 2499999*q^3; `invert --general` 1.1-1.9 s (median
+# 1.3 s in 12 runs) and 113 MB on the star, 39-49 s and 2.19-2.27 GB on
+# the fan; `reduce --with-partition` 0.7-0.8 s and 82 MB at n = 1,
+# 1.3-1.4 s and 92 MB at n = 5000 with lambda = 1.
 TREE_CAP = 5_000_000
 
 _METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
@@ -241,7 +241,7 @@ def cmd_invert(args) -> int:
     else:
         result = inv.solve_general(poly, budget=budget)
     for found in result.trees:  # a search cut by the budget prints what it found
-        print(found.encode())
+        print(found)
     if result.status == "budget_exhausted":
         return _fail(f"budget of {budget} placements exhausted", 4)
     if result.status == "no_tree":

@@ -11,8 +11,9 @@ leaves together; it still counts, and visits in the same order, one
 placement per leaf. It records the finished sub-search below each
 vertex, the subtrees it closed into and the placements made before
 each, and a repeat of it replays the record instead of being searched
-again. It builds trees for its solutions and for the closings a replay
-offers, whose labels it reads from the subtree's `avalanche_poly`.
+again. It returns encodings, and builds trees only to check them and
+for the closings a replay offers, whose labels it reads from the
+subtree's `avalanche_poly`.
 The remaining functions build and unpack the 3-partition reduction
 instances whose polynomials force a unique solution tree shape.
 """
@@ -92,12 +93,12 @@ class ThreePartitionInstance(namedtuple("ThreePartitionInstance", "n C a lam")):
 
 class InverseResult(namedtuple("InverseResult", "status trees attempts")):
     """Immutable search outcome: status is "found", "no_tree" or
-    "budget_exhausted"; trees defaults to a new empty list; attempts
-    counts the placements `solve_general` made."""
+    "budget_exhausted"; trees, the sorted encodings found, defaults to
+    a new empty list; attempts counts the placements `solve_general` made."""
 
     __slots__ = ()
 
-    def __new__(cls, status: str, trees: list[PlaneTree] | None = None, attempts: int = 0):
+    def __new__(cls, status: str, trees: list[str] | None = None, attempts: int = 0):
         return super().__new__(cls, status, [] if trees is None else trees, attempts)
 
 
@@ -149,7 +150,7 @@ def solve_height2(poly: Poly) -> InverseResult:
 
     tree = PlaneTree(chain.from_iterable(repeat(b, c) for b, c in runs))
     _check_poly(tree, poly)
-    return InverseResult("found", [tree])
+    return InverseResult("found", [tree.encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +173,11 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     depth first and backtracks through an explicit stack of choice
     points, so neither the depth nor the width of a tree is bounded by
     the interpreter's recursion limit. It runs on parenthesis encodings
-    and builds a `PlaneTree` for each solution, and for each closing a
-    replay offers: it parses the closing's subtree and takes its
-    avalanche polynomial, once per (encoding, label index). Returns all
-    solutions when the search space closes; `budget_exhausted` reports
-    any trees found before the cutoff. `attempts` counts the placements
-    made.
+    and returns them sorted, parsing each into a `PlaneTree` only to
+    check it; a closing a replay offers is parsed for its avalanche
+    polynomial, once per (encoding, label index). Returns all solutions
+    when the search space closes; `budget_exhausted` reports any trees
+    found before the cutoff. `attempts` counts the placements made.
 
     Leaves are placed in runs. A leaf is the smallest child, so a
     vertex's leaves come first, and a vertex labeled mu places a leaf
@@ -448,10 +448,10 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
     except _Exhausted:
         status, spare = "budget_exhausted", 0
 
-    solutions = [parse_tree(enc) for enc in sorted(found)]
-    for tree in solutions:
-        _check_poly(tree, poly)
-    return InverseResult(status, solutions, budget - spare)
+    found.sort()
+    for enc in found:
+        _check_poly(parse_tree(enc), poly)
+    return InverseResult(status, found, budget - spare)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_criterion_8_height2_property():
         )
         poly = avalanche_poly(tree)
         r = solve_height2(poly)
-        ok = ok and r.status == "found" and r.trees[0].encode() == tree.encode()
+        ok = ok and r.status == "found" and r.trees == [tree.encode()]
         # decrement one leaf-level coefficient: never realizable
         s = rng.choice([s for s in sizes if s > 1])
         damaged = poly + Poly([(s + 1, -1)])
@@ -148,8 +148,8 @@ def test_criterion_9_reduction():
 
     found = solve_general(reduction_poly(inst))
     ok = ok and found.status == "found" and len(found.trees) >= 1
-    for t in found.trees:
-        groups = extract_partition(t, inst)
+    for enc in found.trees:
+        groups = extract_partition(parse_tree(enc), inst)
         ok = ok and all(sum(inst.a[i - 1] for i in g) == inst.C for g in groups)
 
     # sum(a) != n*C here, so the polynomial comes straight from the formula

@@ -1128,7 +1128,7 @@ def test_checkfe_exits_1_at_the_first_order_that_fails(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 # `avpoly --help` and `avpoly <command> --help` at 80 columns, the same on
-# Python 3.10-3.13
+# Python 3.11-3.13
 HELP = {
     (): """\
 usage: avpoly [-h] {label,dist,moments,curve,invert,reduce,checkfe} ...
@@ -1695,7 +1695,6 @@ def hostile_path(tmp_path_factory):
     return tmp_path_factory.mktemp("hostile") / "instance.json"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_hostile_numbers_end_in_a_documented_exit_code(hostile_path, data):
@@ -1754,7 +1753,6 @@ def small_instance(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_hostile_options_end_in_a_documented_exit_code(small_instance, data):

@@ -59,13 +59,13 @@ def height2_poly(sizes):
 def test_height2_star():
     r = solve_height2(Poly([(1, 3)]))
     assert r.status == "found"
-    assert r.trees[0].encode() == "(()()())"
+    assert r.trees == ["(()()())"]
 
 
 def test_height2_single_branch():
     r = solve_height2(Poly([(3, 1), (4, 2)]))
     assert r.status == "found"
-    assert r.trees[0].encode() == "((()()))"
+    assert r.trees == ["((()()))"]
 
 
 def test_height2_no_tree():
@@ -77,8 +77,7 @@ def test_height2_no_tree():
 def test_height2_leaf_plus_branch():
     r = solve_height2(Poly([(1, 1), (3, 1), (4, 2)]))
     assert r.status == "found"
-    t = r.trees[0]
-    assert sorted(label_multiset(t)) == [1, 3, 4, 4]
+    assert sorted(label_multiset(parse_tree(r.trees[0]))) == [1, 3, 4, 4]
 
 
 def label_multiset(t):
@@ -91,7 +90,7 @@ def label_multiset(t):
 def test_height2_zero_polynomial_gives_single_vertex():
     r = solve_height2(Poly())
     assert r.status == "found"
-    assert r.trees[0].encode() == "()"
+    assert r.trees == ["()"]
 
 
 def test_height2_exponent_zero_impossible():
@@ -114,7 +113,7 @@ def test_height2_leftover_cascade():
     sizes = [2, 3, 3]
     r = solve_height2(height2_poly(sizes))
     assert r.status == "found"
-    assert r.trees[0] == height2_tree(sizes)
+    assert r.trees == [height2_tree(sizes).encode()]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7))
@@ -122,8 +121,8 @@ def test_height2_roundtrip(sizes):
     t = height2_tree(sizes)
     r = solve_height2(avalanche_poly(t))
     assert r.status == "found"
-    assert r.trees[0].encode() == t.encode()
-    assert height(r.trees[0]) <= 2
+    assert r.trees == [t.encode()]
+    assert height(parse_tree(r.trees[0])) <= 2
 
 
 @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=6))
@@ -142,7 +141,7 @@ def test_height2_decremented_leaf_coefficient_fails(sizes):
 def test_general_path():
     r = solve_general(Poly([(2, 1), (3, 1)]))
     assert r.status == "found"
-    assert [t.encode() for t in r.trees] == ["((()))"]
+    assert r.trees == ["((()))"]
 
 
 def test_general_no_tree():
@@ -152,13 +151,13 @@ def test_general_no_tree():
 def test_general_zero_polynomial():
     r = solve_general(Poly())
     assert r.status == "found"
-    assert r.trees[0].encode() == "()"
+    assert r.trees == ["()"]
 
 
 def test_general_finds_all_distinct_shapes():
     # 2q: two leaves under the root is the only canonical solution
     r = solve_general(Poly([(1, 2)]))
-    assert [t.encode() for t in r.trees] == ["(()())"]
+    assert r.trees == ["(()())"]
 
 
 def test_general_budget_exhaustion():
@@ -169,7 +168,8 @@ def test_general_budget_exhaustion():
 
 def test_general_completeness_small():
     # every polynomial realized by a tree with <= 8 edges is recovered,
-    # and only by trees carrying that exact polynomial
+    # and only by trees carrying that exact polynomial; both solvers
+    # return encodings, and the height-2 greedy's is a canonical one
     for n in range(9):
         by_poly = {}
         for t in enumerate_trees(n):
@@ -179,10 +179,12 @@ def test_general_completeness_small():
         for poly, canon_encodings in by_poly.items():
             r = solve_general(poly)
             assert r.status == "found"
-            found = {t.encode() for t in r.trees}
-            assert found == canon_encodings
-            for t in r.trees:
-                assert avalanche_poly(t) == poly
+            assert r.trees == sorted(canon_encodings)
+            greedy = solve_height2(poly).trees
+            assert set(greedy) <= canon_encodings
+            for enc in r.trees + greedy:
+                assert type(enc) is str
+                assert avalanche_poly(parse_tree(enc)) == poly
 
 
 def canonical(t: PlaneTree) -> PlaneTree:
@@ -193,8 +195,7 @@ def canonical(t: PlaneTree) -> PlaneTree:
 
 
 def test_general_results_are_sorted_and_unique():
-    seen = solve_general(Poly([(1, 3), (2, 1), (3, 1)])).trees
-    encs = [t.encode() for t in seen]
+    encs = solve_general(Poly([(1, 3), (2, 1), (3, 1)])).trees
     assert encs == sorted(set(encs))
 
 
@@ -222,7 +223,7 @@ def test_general_wide_fan_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert r.status == "found"
-    assert [t.encode() for t in r.trees] == ["(" + "()" * 10000 + ")"]
+    assert r.trees == ["(" + "()" * 10000 + ")"]
     assert peak < 20 * 10**6
 
 
@@ -308,7 +309,7 @@ def test_general_matches_tree_building_reference_at_every_budget(text):
         budget += 1
         expected = reference_solve_general(poly, budget)
         r = solve_general(poly, budget)
-        assert (r.status, [t.encode() for t in r.trees]) == expected
+        assert (r.status, r.trees) == expected
         if expected[0] != "budget_exhausted":
             break
         assert r.attempts == budget
@@ -322,7 +323,7 @@ def assert_matches_reference_at_every_budget(poly: Poly):
     for budget in count():
         expected = reference_solve_general(poly, budget)
         r = solve_general(poly, budget)
-        assert (r.status, [t.encode() for t in r.trees]) == expected
+        assert (r.status, r.trees) == expected
         assert r.attempts == budget
         if expected[0] != "budget_exhausted":
             return
@@ -377,7 +378,7 @@ def test_general_undoes_part_of_a_run_of_leaves():
     # leaf 1 stays. That is a dead end: the one solution keeps all three.
     poly = Poly.from_text("q^3 + q^4 + 4*q^5 + q^6")
     assert_matches_reference_at_every_budget(poly)
-    assert [t.encode() for t in solve_general(poly).trees] == ["(((()))(()()()))"]
+    assert solve_general(poly).trees == ["(((()))(()()()))"]
 
 
 @pytest.mark.parametrize(
@@ -449,7 +450,7 @@ def test_general_replays_the_closings_of_repeated_sub_searches(text, budget, att
     poly = Poly.from_text(text)
     r = solve_general(poly, budget)
     assert (r.status, len(r.trees), r.attempts) == ("found", 1, attempts)
-    assert avalanche_poly(r.trees[0]) == poly
+    assert avalanche_poly(parse_tree(r.trees[0])) == poly
     cut = solve_general(poly, budget=attempts - 1)
     assert (cut.status, cut.attempts) == ("budget_exhausted", attempts - 1)
 
@@ -483,7 +484,7 @@ def test_general_records_of_a_path_are_bounded_by_placements():
     finally:
         tracemalloc.stop()
     assert (r.status, r.attempts) == ("found", 5000)
-    assert [t.encode() for t in r.trees] == ["(" * 5001 + ")" * 5001]
+    assert r.trees == ["(" * 5001 + ")" * 5001]
     assert peak < 5 * 10**6
 
 
@@ -524,7 +525,7 @@ def test_result_and_instance_constructors():
     a, b = InverseResult("no_tree"), InverseResult(status="no_tree")
     assert a == b and (a.trees, a.attempts) == ([], 0)
     assert a.trees is not b.trees  # each result gets a new list
-    assert InverseResult("found", trees=[PlaneTree()], attempts=3).attempts == 3
+    assert InverseResult("found", trees=["()"], attempts=3).attempts == 3
     with pytest.raises(AttributeError):
         a.status = "found"
     inst = ThreePartitionInstance(1, 26, [7, 9, 10], 5)
@@ -735,8 +736,8 @@ def test_general_search_solves_reduction_instance():
     r = solve_general(p)
     assert r.status == "found"
     assert len(r.trees) >= 1
-    for t in r.trees:
-        assert extract_partition(t, INST) == [[1, 2, 3]]
+    for enc in r.trees:
+        assert extract_partition(parse_tree(enc), INST) == [[1, 2, 3]]
 
 
 def test_general_search_rejects_unsatisfiable_instance():
@@ -783,8 +784,8 @@ def test_reduction_has_a_tree_exactly_when_a_partition_exists(n, top):
                 r = solve_general(reduction_poly(inst))
                 assert r.status == ("found" if expected else "no_tree"), (C, a, lam)
                 got = {
-                    tuple(sorted(tuple(a[i - 1] for i in g) for g in extract_partition(t, inst)))
-                    for t in r.trees
+                    tuple(sorted(tuple(a[i - 1] for i in g) for g in extract_partition(parse_tree(enc), inst)))
+                    for enc in r.trees
                 }
                 assert got == expected, (C, a, lam)
     assert (instances, without) == {1: (156, 0), 2: (105, 26), 3: (86, 22)}[n]
