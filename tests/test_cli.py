@@ -326,12 +326,27 @@ def test_curve_stdout(capsys):
     assert out == "x,y\n0.5,1.0\n1.0,0.5\n1.5,0.5\n"
 
 
-def test_curve_file_output(capsys, tmp_path):
-    target = tmp_path / "curve.csv"
-    code, out, _ = run(capsys, "curve", "--n", "2", "--out", str(target))
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "--n", "5"], ["moments", "--n", "5"], ["curve", "--n", "5"],
+     ["reduce", "INSTANCE", "--with-partition", "[[1,2,3]]"]],
+    ids=lambda argv: argv[0],
+)
+def test_curve_file_output(capsys, tmp_path, argv):
+    # --out PATH writes the bytes stdout would get
+    instance = write_instance(tmp_path, n=1, C=26, a=[7, 9, 10])
+    argv = [instance if a == "INSTANCE" else a for a in argv]
+    code, expected, _ = run(capsys, *argv)
     assert code == 0
-    assert out == ""
-    assert target.read_text() == "x,y\n0.5,1.0\n1.0,0.5\n1.5,0.5\n"
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX devices")
+def test_out_to_dev_null_leaves_a_device(capsys):
+    assert run(capsys, "curve", "--n", "5", "--out", os.devnull) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
@@ -637,6 +652,8 @@ def test_invert_rejects_negative_budget(capsys):
     assert "--budget" in err
     # a zero budget is valid: the zero polynomial needs no placement
     assert run(capsys, "invert", "0", "--general", "--budget", "0")[:2] == (0, "()\n")
+    # only --general reads the budget; --height2 accepts it and ignores it
+    assert run(capsys, "invert", "2*q", "--height2", "--budget", "5") == (0, "(()())\n", "")
 
 
 @pytest.mark.parametrize(
@@ -1542,7 +1559,7 @@ def test_run_freezes_the_heap_and_exits_with_the_code_of_main(capsys, monkeypatc
 @pytest.mark.parametrize(
     "argv, code",
     [(["dist", "--n", "3"], 0), (["invert", "q^0", "--general"], 1),
-     (["dist", "--n", "x"], 2), (["dist", "--help"], 0)],
+     (["invert", "q^2+q^3", "--general"], 0), (["dist", "--n", "x"], 2), (["dist", "--help"], 0)],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_each_module_entry_matches_main(capsys, monkeypatch, argv, code):

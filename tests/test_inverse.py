@@ -1,11 +1,13 @@
 """Inverse problem: height-2 greedy, general search, 3-partition reduction."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from itertools import combinations_with_replacement, count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -844,3 +846,14 @@ def test_self_checks_survive_python_O():
     assert proc.stdout.split("\n") == [
         "solve_height2 raised", "solve_general raised", "build_reduction_tree raised", ""
     ]
+
+
+def test_the_package_holds_nothing_python_O_changes():
+    # -O drops assert statements and sets __debug__ to False; with neither
+    # in the package, `python -O -m avpoly` prints what `python -m avpoly` does
+    found = []
+    for path in sorted(Path(avpoly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
