@@ -110,12 +110,6 @@ class Poly:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Poly()
-            out = Poly()
-            out._c = {e: c * other for e, c in self._c.items()}
-            return out
         if isinstance(other, Poly):
             acc: dict[int, int] = {}
             for e1, c1 in self._c.items():

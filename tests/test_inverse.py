@@ -214,6 +214,18 @@ def test_general_attempts_pin_the_budget_boundary():
         assert cut.attempts == r.attempts - 1
 
 
+@pytest.mark.parametrize(
+    "N,attempts", [(10, 234), (14, 1441), (18, 9141), (22, 43966), (26, 221845)]
+)
+def test_general_pins_the_staircase_no_tree_search(N, attempts):
+    # q + q^2 + ... + q^N, a hard no-tree family: the pinned counts are the
+    # search's exact work, and its budget cut-off falls exactly there
+    poly = Poly([(i, 1) for i in range(1, N + 1)])
+    for r in (solve_general(poly), solve_general(poly, budget=attempts)):
+        assert r == ("no_tree", [], attempts)
+    assert solve_general(poly, budget=attempts - 1) == ("budget_exhausted", [], attempts - 1)
+
+
 def test_general_wide_fan_in_bounded_memory():
     # 10^4 leaves under the root: every choice point shares the root's list
     # of closed children, so memory grows linearly; a copy of the children's
@@ -648,6 +660,43 @@ def test_build_rejects_bad_partition():
 def test_extract_roundtrip():
     tree = build_reduction_tree(INST, [[1, 2, 3]])
     assert extract_partition(tree, INST) == [[1, 2, 3]]
+
+
+@st.composite
+def instances_with_a_partition(draw):
+    """A valid instance with n in 1..3 and C in 13..40, built from n
+    shuffled triples of values strictly between C/4 and C/2 that sum to
+    C; lam in {1, 2, 3n + 1}; and a partition p of its indices into
+    those triples."""
+    n = draw(st.integers(1, 3))
+    C = draw(st.integers(13, 40))
+    allowed = [v for v in range(1, C) if 4 * v > C and 2 * v < C]
+    pairs = [(x, y) for x in allowed for y in allowed if C - x - y in allowed]
+    drawn = draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=n))
+    values = [v for x, y in drawn for v in (x, y, C - x - y)]
+    order = draw(st.permutations(range(3 * n)))  # index i + 1 holds values[order[i]]
+    index = {k: i + 1 for i, k in enumerate(order)}
+    p = [[index[k] for k in range(3 * t, 3 * t + 3)] for t in range(n)]
+    lam = draw(st.sampled_from([1, 2, 3 * n + 1]))
+    return ThreePartitionInstance(n, C, [values[k] for k in order], lam), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances_with_a_partition())
+def test_extract_inverts_build_on_generated_instances(case):
+    # each tree has at most 3 * (10 * 40 + 1) + 1 = 1204 vertices
+    inst, p = case
+    groups = extract_partition(build_reduction_tree(inst, p), inst)
+    assert sorted(i for g in groups for i in g) == list(range(1, 3 * inst.n + 1))
+    for g in groups:
+        assert len(g) == 3 and g == sorted(g)
+        assert sum(inst.a[i - 1] for i in g) == inst.C
+    # the k-th root child carries the values of the k-th triple of p
+    assert [sorted(inst.a[i - 1] for i in g) for g in groups] == [
+        sorted(inst.a[i - 1] for i in t) for t in p
+    ]
+    if len(set(inst.a)) == 3 * inst.n:
+        assert groups == [sorted(t) for t in p]
 
 
 def test_extract_with_repeated_values():

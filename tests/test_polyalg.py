@@ -147,6 +147,18 @@ def test_poly_add_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
 
 
+def test_poly_mul_cancels_a_term_inside_one_product():
+    # (1 + q)(1 - q): the two q^1 products cancel, and no zero is stored
+    product = Poly([(0, 1), (1, 1)]) * Poly([(0, 1), (1, -1)])
+    assert product == Poly([(0, 1), (2, -1)])
+    assert 1 not in dict(product.items())
+
+
+def test_poly_times_an_int_is_a_type_error():
+    with pytest.raises(TypeError):
+        Poly([(1, 2)]) * 3
+
+
 @given(polys, polys)
 def test_poly_mul_matches_shift_on_monomials(a, b):
     assert a * b == b * a
