@@ -19,14 +19,15 @@ does (see `_emit`), down to leaving it truncated when a write fails.
 
 Every cap is defined here; the library refuses no input for its cost.
 Each integer option's range is declared beside it in `_COMMANDS`, and a
-value outside it exits 2. `dist` checks its cap itself, by `--method`:
-ENUM_CAP for enum, RECURRENCE_CAP for the others. `moments` and `reduce`
-exit 2 as well when the int-to-str limit cannot print their numbers.
-`invert` (both modes) and `reduce --with-partition` refuse to build a
-tree of more than TREE_CAP vertices. JSON input must have the documented
-shape, with integers (or the decimal strings `reduce` prints) where
-numbers go; anything else exits 2. Integer options, like those strings,
-are ASCII digits after an optional "-".
+value outside it exits 2. `dist` checks its cap itself, the one its
+`--method`'s row of `_METHODS` holds: ENUM_CAP for enum, RECURRENCE_CAP
+for the others. `moments` and `reduce` exit 2 as well when the
+int-to-str limit cannot print their numbers. `invert` (both modes) and
+`reduce --with-partition` refuse to build a tree of more than TREE_CAP
+vertices. JSON input must have the documented shape, with integers (or
+the decimal strings `reduce` prints) where numbers go; anything else
+exits 2. Integer options, like those strings, are ASCII digits after an
+optional "-".
 """
 
 from __future__ import annotations
@@ -69,7 +70,14 @@ MOMENTS_CAP = 3575
 # 1.3-1.4 s and 92 MB at n = 5000 with lambda = 1.
 TREE_CAP = 5_000_000
 
-_METHOD_NAMES = {"enum": "enumeration", "rec": "recurrence", "closed": "closed"}
+# One row per `dist --method`: its name in the output, its cap and the
+# `distribution` function that computes it, looked up on each call as
+# `cmd_*` are, so a refused size executes no `distribution`
+_METHODS = {
+    "enum": ("enumeration", ENUM_CAP, "distribution_by_enumeration"),
+    "rec": ("recurrence", RECURRENCE_CAP, "distribution_by_recurrence"),
+    "closed": ("closed", RECURRENCE_CAP, "distribution_by_closed_form"),
+}
 
 
 def _fail(message: str, code: int) -> int:
@@ -182,16 +190,10 @@ def cmd_label(args) -> int:
 
 def cmd_dist(args) -> int:
     n = args.n
-    method = _METHOD_NAMES[args.method]
-    cap = ENUM_CAP if args.method == "enum" else RECURRENCE_CAP
+    method, cap, route = _METHODS[args.method]
     if n > cap:
         return _fail(f"--n exceeds the {method} cap {cap}", 2)
-    if args.method == "enum":
-        poly = dist.distribution_by_enumeration(n)
-    elif args.method == "rec":
-        poly = dist.distribution_by_recurrence(n)
-    else:
-        poly = dist.distribution_by_closed_form(n)
+    poly = getattr(dist, route)(n)
     if args.format == "text":
         text = f"A_{n} ({method}) = {poly.to_text()}"
     else:
@@ -202,20 +204,11 @@ def cmd_dist(args) -> int:
 def cmd_moments(args) -> int:
     report = dist.moment_report(args.n)
     try:
-        if args.format == "text":
-            text = "\n".join(
-                [
-                    f"n = {report.n}",
-                    f"mean = {report.mean}",
-                    f"variance = {report.variance}",
-                    f"mean_ratio = {report.mean_ratio!r}",
-                    f"variance_ratio = {report.variance_ratio!r}",
-                ]
-            )
+        fields = {**report._asdict(), "mean": str(report.mean), "variance": str(report.variance)}
+        if args.format == "text":  # a float's str is its repr, as in the JSON
+            text = "\n".join([f"{name} = {value}" for name, value in fields.items()])
         else:
-            text = _record(
-                {**report._asdict(), "mean": str(report.mean), "variance": str(report.variance)}
-            )
+            text = _record(fields)
     except ValueError as exc:  # the interpreter's int-to-str limit, if set lower
         return _fail(f"cannot print the moments of --n {args.n}: {exc}", 2)
     return _emit(text, args.out)
@@ -332,7 +325,7 @@ _COMMANDS = {
     ]),
     "dist": ("distribution polynomial for size n", [
         ("--n", {"type": _int, "required": True, "range": (0, None, None)}),
-        ("--method", {"choices": _METHOD_NAMES, "default": "rec"}),
+        ("--method", {"choices": _METHODS, "default": "rec"}),
         _FORMAT,
         _OUT,
     ]),

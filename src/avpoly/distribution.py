@@ -273,9 +273,7 @@ def moment_report(n: int) -> MomentReport:
     decimal division (the ratios are floats, correctly rounded)."""
     from decimal import Decimal, localcontext
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mean = mean_exact(n)
+    mean = mean_exact(n)  # raises ValueError for n < 1
     variance = variance_exact(n)
     with localcontext() as ctx:
         ctx.prec = _RATIO_PRECISION

@@ -96,34 +96,16 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        """No command adds; the benchmark's tracer wraps it (ROADMAP direction 14)."""
         if not isinstance(other, Poly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                del c[e]
-        out = Poly()
-        out._c = c
-        return out
+        return Poly([*self._c.items(), *other._c.items()])
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            acc: dict[int, int] = {}
-            for e1, c1 in self._c.items():
-                for e2, c2 in other._c.items():
-                    e = e1 + e2
-                    nv = acc.get(e, 0) + c1 * c2
-                    if nv:
-                        acc[e] = nv
-                    elif e in acc:
-                        del acc[e]
-            out = Poly()
-            out._c = acc
-            return out
-        return NotImplemented
+    def __mul__(self, other: "Poly") -> "Poly":
+        """No command multiplies; the benchmark's tracer wraps it (ROADMAP direction 14)."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return Poly([(e1 + e2, c1 * c2) for e1, c1 in self._c.items() for e2, c2 in other._c.items()])
 
     # -- identity ----------------------------------------------------------
 
@@ -214,7 +196,7 @@ class Series:
     """Series in t truncated at a fixed order; coefficient of t^p is a Poly.
 
     Every binary operation requires equal truncation orders. No command
-    uses it; the benchmark's tracer wraps `__mul__` (ROADMAP direction 2).
+    uses it; the benchmark's tracer wraps `__mul__` (ROADMAP direction 14).
     """
 
     __slots__ = ("order", "coeffs")

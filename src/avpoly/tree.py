@@ -140,7 +140,7 @@ class LabeledTree:
     """A vertex with its avalanche label and labeled children.
 
     No command builds one; the benchmark's tracer wraps `preorder_labels`
-    and `label_counts` (ROADMAP direction 2).
+    and `label_counts` (ROADMAP direction 14).
     """
 
     __slots__ = ("label", "children")

@@ -11,6 +11,7 @@ import random
 import stat
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from avpoly import inverse as inv
 from avpoly import cli
 from avpoly.cli import MOMENTS_CAP, RECURRENCE_CAP, TREE_CAP, build_parser, main
 from avpoly.tree import avalanche_poly, parse_tree
+from oracles import dyck_words, preorder_labels
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
 
@@ -67,30 +69,15 @@ def test_label_parse_error_exits_2(capsys):
 
 
 def _label_oracle(encoding: str) -> str:
-    """The three lines `label` prints, from a scan of the encoding alone:
-    the vertex opened at index i has (j - i + 1) / 2 vertices when its
-    ')' is at j, and is labeled its parent's label plus that count."""
-    size, opens = {}, []
-    for j, ch in enumerate(encoding):
-        if ch == "(":
-            opens.append(j)
-        else:
-            i = opens.pop()
-            size[i] = (j - i + 1) // 2
-    annotated, labels, counts, open_labels = [], [], {}, []
-    for j, ch in enumerate(encoding):
-        if ch == ")":
-            open_labels.pop()
-            annotated.append(")")
-            continue
-        label = open_labels[-1] + size[j] if open_labels else 0
-        if open_labels:
-            counts[label] = counts.get(label, 0) + 1
-        open_labels.append(label)
-        annotated.append(f"({label}")
-        labels.append(str(label))
+    """The three lines `label` prints, from `preorder_labels`' scan of the
+    encoding alone: each "(" followed by its vertex's label, the labels,
+    and the polynomial counting the labels below the root."""
+    labels = preorder_labels(encoding)
+    opened = iter(labels)
+    annotated = [f"({next(opened)}" if ch == "(" else ")" for ch in encoding]
+    counts = Counter(labels[1:])
     terms = [f"q^{e}" if counts[e] == 1 else f"{counts[e]}*q^{e}" for e in sorted(counts)]
-    return "\n".join(["".join(annotated), "labels: " + ",".join(labels), "polynomial: " + (" + ".join(terms) or "0")]) + "\n"
+    return "\n".join(["".join(annotated), "labels: " + ",".join(map(str, labels)), "polynomial: " + (" + ".join(terms) or "0")]) + "\n"
 
 
 def _random_encoding(rng, edges: int) -> str:
@@ -112,17 +99,9 @@ def _random_encoding(rng, edges: int) -> str:
     return "".join(out)
 
 
-def _all_encodings(edges: int) -> list[str]:
-    # Dyck words: no prefix closes more than it opens, or opens more than `edges`
-    words = [""]
-    for _ in range(2 * edges):
-        words = [w + c for w in words for c in "()" if (w + c).count(")") <= (w + c).count("(") <= edges]
-    return ["(" + w + ")" for w in words]
-
-
 def test_label_output_matches_an_independent_scan_of_the_encoding(capsys):
     rng = random.Random("label-oracle")
-    encodings = [enc for e in range(8) for enc in _all_encodings(e)]
+    encodings = ["(" + w + ")" for e in range(8) for w in dyck_words(e)]
     assert len(encodings) == 626  # C_0 + ... + C_7
     encodings += [_random_encoding(rng, rng.randint(1, 300)) for _ in range(200)]
     encodings += ["(" * 10001 + ")" * 10001, "(" + "()" * 60000 + ")"]
@@ -268,6 +247,16 @@ MOMENTS_N2_STDOUT = {
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_moments_n2_stdout_bytes(capsys, fmt):
     assert run(capsys, "moments", "--n", "2", "--format", fmt) == (0, MOMENTS_N2_STDOUT[fmt], "")
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 60, MOMENTS_CAP])
+def test_moments_text_lists_the_json_record(capsys, n):
+    # the text form is the record's fields, one "name = value" line each,
+    # a float printed as the JSON prints it
+    code, out, err = run(capsys, "moments", "--n", str(n))
+    assert (code, err) == (0, "")
+    lines = "".join([f"{name} = {value}\n" for name, value in json.loads(out).items()])
+    assert run(capsys, "moments", "--n", str(n), "--format", "text") == (0, lines, "")
 
 
 def test_moments_n1_variance_zero(capsys):
@@ -669,15 +658,21 @@ def test_invert_general_finds_deep_and_wide_trees(capsys, encoding):
     assert run(capsys, "invert", poly_json, "--general") == (0, encoding + "\n", "")
 
 
-def test_invert_general_matches_the_benchmark_golden_outputs(capsys, monkeypatch):
-    # every `invert --general` job the benchmark can run, against the exit
-    # code and stdout hash it recorded in perfbench/golden.json
+def _benchmark_general_jobs(monkeypatch):
+    """The perfbench directory and every `invert --general` job the
+    benchmark can run, in `workloads.universe` order."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     import workloads
 
+    return bench, [job for job in workloads.universe("inverse") if "--general" in job.args]
+
+
+def test_invert_general_matches_the_benchmark_golden_outputs(capsys, monkeypatch):
+    # every `invert --general` job the benchmark can run, against the exit
+    # code and stdout hash it recorded in perfbench/golden.json
+    bench, jobs = _benchmark_general_jobs(monkeypatch)
     golden = json.loads((bench / "golden.json").read_text())["jobs"]
-    jobs = [job for job in workloads.universe("inverse") if "--general" in job.args]
     assert len(jobs) == 52
     for job in jobs:
         code, out, _ = run(capsys, *job.args)
@@ -685,6 +680,33 @@ def test_invert_general_matches_the_benchmark_golden_outputs(capsys, monkeypatch
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
             expected["exit"], expected["stdout_sha256"]
         ), job.describe()
+
+
+# (status, attempts) of each of those jobs, in the same order: the work the
+# search does, which the golden stdout hashes do not show; 42 found, 6
+# no_tree, 4 budget_exhausted and 4,645,989 attempts in all
+GENERAL_JOB_WORK = (
+    [("found", a) for a in (
+        1496, 619, 1496, 1944, 1000, 996, 385, 1201, 34727, 10253, 10253, 10253,
+        208226, 199115, 208226, 194718, 15899, 27191, 27191, 15899, 38336, 38336,
+        38336, 38336, 70631, 77780, 11086, 48053, 48053, 48053, 9035, 1976, 3259,
+        2519, 34005, 8335, 32416, 4612, 270224, 303160, 278987, 295635,
+    )]
+    + [("no_tree", a) for a in (5065, 3467, 4093, 1971, 633511, 525631)]
+    + [("budget_exhausted", 200_000)] * 4
+)
+
+
+def test_invert_general_pins_the_work_of_the_benchmark_jobs(monkeypatch):
+    _, jobs = _benchmark_general_jobs(monkeypatch)
+    parser = build_parser()
+    work = []
+    for job in jobs:
+        args = parser.parse_args(job.args)
+        budget = inv.DEFAULT_BUDGET if args.budget is None else args.budget
+        result = inv.solve_general(cli._parse_poly_arg(args.polynomial), budget=budget)
+        work.append((result.status, result.attempts))
+    assert work == GENERAL_JOB_WORK
 
 
 # ---------------------------------------------------------------------------

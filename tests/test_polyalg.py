@@ -159,6 +159,23 @@ def test_poly_times_an_int_is_a_type_error():
         Poly([(1, 2)]) * 3
 
 
+# small exponents and signed coefficients, so sums and products cancel terms
+signed_dicts = st.dictionaries(st.integers(0, 12), st.integers(-3, 3), max_size=8)
+
+
+@given(signed_dicts, signed_dicts)
+def test_poly_arithmetic_matches_a_dict_oracle(a, b):
+    total, product = {}, {}
+    for e, c in [*a.items(), *b.items()]:
+        total[e] = total.get(e, 0) + c
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    assert dict((Poly(a) + Poly(b)).items()) == {e: c for e, c in total.items() if c}
+    assert dict((Poly(a) * Poly(b)).items()) == {e: c for e, c in product.items() if c}
+    assert not Poly(a) + Poly({e: -c for e, c in a.items()})
+
+
 @given(polys, polys)
 def test_poly_mul_matches_shift_on_monomials(a, b):
     assert a * b == b * a

@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+from collections import Counter
 from itertools import repeat
 
 import pytest
@@ -15,6 +16,7 @@ from avpoly.tree import (
     enumerate_trees,
     parse_tree,
 )
+from oracles import dyck_words, preorder_labels
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
 FIG1_POLY = Poly([(5, 1), (6, 2), (7, 3), (8, 3), (9, 2), (10, 4), (11, 4)])
@@ -27,29 +29,6 @@ tree_shapes = st.recursive(
 
 def from_shape(shape):
     return PlaneTree(from_shape(s) for s in shape)
-
-
-def _dyck_words(n):
-    """All balanced words of n '(' and n ')' in lexicographic order, with
-    '(' < ')': the plain, recursive statement of the order in which
-    `enumerate_trees` yields trees, independent of its walk."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    buf = []
-
-    def rec(opens_left, balance):
-        if opens_left == 0:
-            yield "".join(buf) + ")" * balance
-            return
-        buf.append("(")
-        yield from rec(opens_left - 1, balance + 1)
-        buf.pop()
-        if balance > 0:
-            buf.append(")")
-            yield from rec(opens_left, balance - 1)
-            buf.pop()
-
-    return rec(n, 0)
 
 
 def path_tree(vertices):
@@ -182,33 +161,11 @@ def recursive_encoding(t):
     return "(" + "".join(recursive_encoding(c) for c in t.children) + ")"
 
 
-def labels_off_encoding(text):
-    """{label: count} of the non-root vertices, read off the string alone:
-    a vertex's label is its parent's plus its own subtree size."""
-    size, opens = {}, []
-    for j, ch in enumerate(text):
-        if ch == "(":
-            opens.append(j)
-        else:
-            i = opens.pop()
-            size[i] = (j - i + 1) // 2
-    counts, labels = {}, []
-    for j, ch in enumerate(text):
-        if ch == ")":
-            labels.pop()
-            continue
-        label = labels[-1] + size[j] if labels else 0
-        if labels:
-            counts[label] = counts.get(label, 0) + 1
-        labels.append(label)
-    return counts
-
-
 @given(shared_trees())
 def test_shared_tree_encoding_and_polynomial(t):
     text = t.encode()
     assert text == recursive_encoding(t)
-    assert avalanche_poly(t) == Poly(labels_off_encoding(text))
+    assert avalanche_poly(t) == Poly(Counter(preorder_labels(text)[1:]))
     parsed = parse_tree(text)  # its leaves form runs of their own
     assert parsed.encode() == text
     assert avalanche_poly(parsed) == avalanche_poly(t)
@@ -296,15 +253,15 @@ def test_enumerate_counts_and_lexicographic_order():
 
 
 def test_dyck_words_basics():
-    assert list(_dyck_words(0)) == [""]
-    assert list(_dyck_words(2)) == ["(())", "()()"]
+    assert list(dyck_words(0)) == [""]
+    assert list(dyck_words(2)) == ["(())", "()()"]
     with pytest.raises(ValueError):
-        list(_dyck_words(-1))
+        list(dyck_words(-1))
 
 
 def test_enumeration_follows_dyck_words():
     for n in range(11):
-        assert [t.encode() for t in enumerate_trees(n)] == ["(" + w + ")" for w in _dyck_words(n)]
+        assert [t.encode() for t in enumerate_trees(n)] == ["(" + w + ")" for w in dyck_words(n)]
 
 
 def test_enumerate_trees_is_a_generator_that_rejects_negative_sizes():
@@ -330,7 +287,7 @@ def test_enumeration_with_an_encoding_fold_follows_dyck_words():
     # a fold of strings, not trees: each vertex collects its children's encodings
     fold = ("", lambda acc, child: f"{acc}({child})", lambda acc: f"({acc})")
     for n in range(10):
-        assert list(enumerate_trees(n, fold)) == ["(" + w + ")" for w in _dyck_words(n)]
+        assert list(enumerate_trees(n, fold)) == ["(" + w + ")" for w in dyck_words(n)]
 
 
 # ---------------------------------------------------------------------------
