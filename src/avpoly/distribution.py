@@ -85,19 +85,21 @@ CurvePoint = namedtuple("CurvePoint", "x y")
 # ---------------------------------------------------------------------------
 
 
-def _field_bytes(n: int) -> int:
-    """Bytes per packed field for sizes up to n: the least multiple of 8
-    bits that is at least bitlen(n C_n) + 1 (see the module docstring)."""
-    return (n * polyalg.catalan(n)).bit_length() // 8 + 1
+def _packing(n: int) -> tuple[list[int], int]:
+    """C_0..C_n and the bytes per packed field for sizes up to n: the
+    least multiple of 8 bits that is at least bitlen(n C_n) + 1 (see the
+    module docstring)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    cat = [polyalg.catalan(k) for k in range(n + 1)]
+    return cat, (n * cat[n]).bit_length() // 8 + 1
 
 
 def distribution_by_enumeration(n: int) -> polyalg.Poly:
     """Sum the avalanche polynomial over every tree with n edges, each
     labeled by its subtree sizes as `enumerate_trees` builds it, packed
     (see the module docstring)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    width = _field_bytes(n)
+    width = _packing(n)[1]
     w = 8 * width
 
     def add(acc, child):  # a closed child c adds q^|c| (1 + P_c)
@@ -120,19 +122,16 @@ def _recurrence_rows(n: int) -> tuple[int, Iterator[int]]:
     of row m as soon as D_k is made, so no finished row is kept. The
     finished row C_m + A_m is shifted once, into D_m.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    width = _field_bytes(n)
-    return width, _push_rows(n, 8 * width)
+    cat, width = _packing(n)
+    return width, _push_rows(cat, 8 * width)
 
 
-def _push_rows(n: int, w: int) -> Iterator[int]:
-    cat = [polyalg.catalan(k) for k in range(n + 1)]
-    pending = [0] * (n + 1)  # pending[m] = sum of C_{m-k} D_k over the rows k made
-    for m in range(n + 1):
-        row = (pending[m] + cat[m]) << (w * (m + 1))
+def _push_rows(cat: list[int], w: int) -> Iterator[int]:
+    pending = [0] * len(cat)  # pending[m] = sum of C_{m-k} D_k over the rows k made
+    for m, c in enumerate(cat):
+        row = (pending[m] + c) << (w * (m + 1))
         pending[m] = 0
-        for j in range(1, n - m + 1):
+        for j in range(1, len(cat) - m):
             pending[m + j] += cat[j] * row
         yield row
 
@@ -197,10 +196,7 @@ def distribution_by_closed_form(n: int) -> polyalg.Poly:
     the total, so no finished G_p is kept. That is about three times the
     recurrence's field work: G_p has about (n^2 - p^2)/2 fields.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    cat = [polyalg.catalan(k) for k in range(n + 1)]
-    width = _field_bytes(n)
+    cat, width = _packing(n)
     w = 8 * width
     pending = [0] * (n + 1)  # pending[l] = sum of C_{p-l} G_p made, popped for G_l
     total = 0
@@ -333,9 +329,9 @@ def functional_equation_mismatch(order: int) -> int | None:
     carries, satisfies the identity at q = 2^W."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    cat = [polyalg.catalan(k) for k in range(order + 1)]
+    cat, width = _packing(order)
     table_width, rows = _recurrence_rows(order)
-    width = max(table_width, _field_bytes(order))
+    width = max(table_width, width)
     w = 8 * width
     # order p reads A_p and the terms of the rows before it, so each A_j is
     # kept only as its term q^(j+1) (C_j + A_j) + A_j

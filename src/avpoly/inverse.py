@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "solve_height2",
     "solve_general",
-    "scaled_reduction_poly",
     "reduction_poly",
     "build_reduction_tree",
     "extract_partition",
@@ -456,14 +455,15 @@ def solve_general(poly: Poly, budget: int = DEFAULT_BUDGET) -> InverseResult:
 # ---------------------------------------------------------------------------
 
 
-def scaled_reduction_poly(n: int, C: int, a, lam: int) -> Poly:
-    """The reduction polynomial assembled from raw values (no validation):
+def reduction_poly(inst: ThreePartitionInstance) -> Poly:
+    """Reduction polynomial of an instance:
 
         n q^{lam C + 1}
         + sum_i q^{lam C + 1 + lam a_i}
         + sum_i (lam a_i - 1) q^{lam C + lam a_i + 2}
 
     Like terms merge; lam = 1 gives the unscaled form."""
+    n, C, a, lam = inst
     base = lam * C + 1
     pairs = [(base, n)]
     for ai in a:
@@ -471,11 +471,6 @@ def scaled_reduction_poly(n: int, C: int, a, lam: int) -> Poly:
         pairs.append((base + w, 1))
         pairs.append((base + w + 1, w - 1))
     return Poly(pairs)
-
-
-def reduction_poly(inst: ThreePartitionInstance) -> Poly:
-    """Reduction polynomial of an instance."""
-    return scaled_reduction_poly(*inst)
 
 
 def _validate_partition(inst: ThreePartitionInstance, solution):

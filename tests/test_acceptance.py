@@ -24,7 +24,6 @@ from avpoly.inverse import (
     build_reduction_tree,
     extract_partition,
     reduction_poly,
-    scaled_reduction_poly,
     solve_general,
     solve_height2,
 )
@@ -152,8 +151,8 @@ def test_criterion_9_reduction():
         groups = extract_partition(parse_tree(enc), inst)
         ok = ok and all(sum(inst.a[i - 1] for i in g) == inst.C for g in groups)
 
-    # sum(a) != n*C here, so the polynomial comes straight from the formula
-    unsat = solve_general(scaled_reduction_poly(2, 12, (4, 4, 4, 5, 5, 5), 7))
+    # a valid instance with no 3-partition: triples of 4s and a 6 sum to 12 or 14
+    unsat = solve_general(reduction_poly(ThreePartitionInstance(2, 13, (4, 4, 4, 4, 4, 6))))
     ok = ok and unsat.status == "no_tree"
     assert report(9, ok, t0, "build/extract round-trip, search, unsatisfiable NO")
 

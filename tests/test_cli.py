@@ -34,6 +34,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@contextlib.contextmanager
+def limit_digits_to_640():
+    """The int-to-str limit lowered to 640 digits, so that short inputs
+    reach it; the previous limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 #  label
 # ---------------------------------------------------------------------------
@@ -290,13 +302,9 @@ def test_moments_cap_is_the_digit_limit():
 def test_moments_under_a_lowered_digit_limit(capsys, fmt):
     # MOMENTS_CAP assumes the default limit of 4300 digits; below it the
     # cap no longer protects the formatting, which must still end in exit 2
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+    with limit_digits_to_640():
         code, out, err = run(capsys, "moments", "--n", "1000", "--format", fmt)
         small = run(capsys, "moments", "--n", "100", "--format", fmt)
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert code == 2
     assert out == ""
     assert err.startswith("avpoly: error: cannot print the moments of --n 1000: ")
@@ -870,12 +878,8 @@ def test_reduce_lambda_option_zero_on_a_valid_instance(capsys, tmp_path):
 
 @pytest.fixture
 def digits_640():
-    """The int-to-str limit lowered to 640 digits, so that short inputs
-    reach it; the default is restored afterwards."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(limit)
+    with limit_digits_to_640():
+        yield
 
 
 def unprintable_instance(tmp_path):
@@ -1396,7 +1400,7 @@ EXPORTED = {
     ),
     "inverse": (
         "ThreePartitionInstance InverseResult InstanceValidationError PartitionError ExtractionError "
-        "DEFAULT_BUDGET solve_height2 solve_general scaled_reduction_poly "
+        "DEFAULT_BUDGET solve_height2 solve_general "
         "reduction_poly build_reduction_tree extract_partition"
     ),
 }
@@ -1746,14 +1750,9 @@ def test_hostile_numbers_end_in_a_documented_exit_code(hostile_path, data):
                   st.sampled_from([[], ["--format", "text"]]))
           .map(lambda pf: ["reduce", str(hostile_path), *pf[0], *pf[1]]),
     ))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with limit_digits_to_640(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in range(5), (argv, code, err.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
 
@@ -1806,16 +1805,11 @@ def test_hostile_options_end_in_a_documented_exit_code(small_instance, data):
         partition = data.draw(st.one_of(st.just([]), PARTITION_TEXT.map(lambda p: ["--with-partition", p])))
     value = data.draw(OPTION_TEXT.filter(lambda v: not (partition and _builds_a_large_tree(v))))
     argv = command + data.draw(st.sampled_from([[option, value], [f"{option}={value}"]])) + partition
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with limit_digits_to_640(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
     assert code in range(5), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

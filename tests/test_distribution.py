@@ -374,7 +374,7 @@ def test_functional_equation_holds():
 
 def _as_table(polys, order):
     # row k as the recurrence table stores it: q^(k+1) (C_k + A_k) packed
-    width = distribution._field_bytes(order)
+    width = distribution._packing(order)[1]
     w = 8 * width
     return width, [(catalan(k) + distribution._pack(poly, width)) << (w * (k + 1)) for k, poly in enumerate(polys)]
 

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement, count
 from pathlib import Path
 
@@ -22,12 +22,13 @@ from avpoly.inverse import (
     build_reduction_tree,
     extract_partition,
     reduction_poly,
-    scaled_reduction_poly,
     solve_general,
     solve_height2,
 )
 from avpoly.polyalg import Poly
 from avpoly.tree import PlaneTree, avalanche_poly, enumerate_trees, parse_tree
+from memory import peak_bytes
+from oracles import preorder_labels
 
 
 def height(t: PlaneTree) -> int:
@@ -77,16 +78,16 @@ def test_height2_no_tree():
 
 
 def test_height2_leaf_plus_branch():
-    r = solve_height2(Poly([(1, 1), (3, 1), (4, 2)]))
+    poly = Poly([(1, 1), (3, 1), (4, 2)])
+    r = solve_height2(poly)
     assert r.status == "found"
-    assert sorted(label_multiset(parse_tree(r.trees[0]))) == [1, 3, 4, 4]
+    assert label_counts(r.trees[0]) == dict(poly.terms())
 
 
-def label_multiset(t):
-    out = []
-    for e, c in avalanche_poly(t).terms():
-        out.extend([e] * c)
-    return out
+def label_counts(enc):
+    """Label -> number of non-root vertices with it, read off the encoding
+    by the oracle, not by the `avalanche_poly` the solvers check with."""
+    return Counter(preorder_labels(enc)[1:])
 
 
 def test_height2_zero_polynomial_gives_single_vertex():
@@ -186,7 +187,7 @@ def test_general_completeness_small():
             assert set(greedy) <= canon_encodings
             for enc in r.trees + greedy:
                 assert type(enc) is str
-                assert avalanche_poly(parse_tree(enc)) == poly
+                assert label_counts(enc) == dict(poly.terms())
 
 
 def canonical(t: PlaneTree) -> PlaneTree:
@@ -230,12 +231,7 @@ def test_general_wide_fan_in_bounded_memory():
     # 10^4 leaves under the root: every choice point shares the root's list
     # of closed children, so memory grows linearly; a copy of the children's
     # encodings per choice point would hold about 10^8 bytes at the peak
-    tracemalloc.start()
-    try:
-        r = solve_general(Poly.from_text("10000*q"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    r, peak = peak_bytes(lambda: solve_general(Poly.from_text("10000*q")))
     assert r.status == "found"
     assert r.trees == ["(" + "()" * 10000 + ")"]
     assert peak < 20 * 10**6
@@ -464,7 +460,7 @@ def test_general_replays_the_closings_of_repeated_sub_searches(text, budget, att
     poly = Poly.from_text(text)
     r = solve_general(poly, budget)
     assert (r.status, len(r.trees), r.attempts) == ("found", 1, attempts)
-    assert avalanche_poly(parse_tree(r.trees[0])) == poly
+    assert label_counts(r.trees[0]) == dict(poly.terms())
     cut = solve_general(poly, budget=attempts - 1)
     assert (cut.status, cut.attempts) == ("budget_exhausted", attempts - 1)
 
@@ -475,12 +471,7 @@ def test_general_record_of_failed_sub_searches_is_bounded_by_placements():
     # a record of every failure would hold 2 * 10^6 counts for 1999
     # placements
     path = avalanche_poly(parse_tree("(" * 2001 + ")" * 2001))
-    tracemalloc.start()
-    try:
-        r = solve_general(moved_up(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    r, peak = peak_bytes(lambda: solve_general(moved_up(path)))
     assert (r.status, r.attempts) == ("no_tree", 1999)
     assert peak < 3 * 10**6
 
@@ -491,12 +482,7 @@ def test_general_records_of_a_path_are_bounded_by_placements():
     # so recording every closing would hold 1.25 * 10^7 vertices for 5000
     # placements
     path = avalanche_poly(parse_tree("(" * 5001 + ")" * 5001))
-    tracemalloc.start()
-    try:
-        r = solve_general(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    r, peak = peak_bytes(lambda: solve_general(path))
     assert (r.status, r.attempts) == ("found", 5000)
     assert r.trees == ["(" * 5001 + ")" * 5001]
     assert peak < 5 * 10**6
@@ -506,12 +492,7 @@ def test_general_places_a_run_of_leaves_in_one_step():
     # 5*10^7 leaves under the root are one run, more than the budget: the
     # search stops before placing it, at the count placing leaves one by
     # one would stop at, and holds no state per leaf
-    tracemalloc.start()
-    try:
-        r = solve_general(Poly.from_text("50000000*q"), budget=10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    r, peak = peak_bytes(lambda: solve_general(Poly.from_text("50000000*q"), budget=10**6))
     assert (r.status, r.trees, r.attempts) == ("budget_exhausted", [], 10**6)
     assert peak < 10**6
 
@@ -553,12 +534,11 @@ def test_reduction_lambda_one_is_unscaled_form():
         + [(C + 1 + ai, 1) for ai in a]
         + [(C + ai + 2, ai - 1) for ai in a]
     )
-    assert scaled_reduction_poly(n, C, a, 1) == expected
     assert reduction_poly(ThreePartitionInstance(n=1, C=26, a=a, lam=1)) == expected
 
 
 def test_reduction_merges_like_terms():
-    p = scaled_reduction_poly(2, 12, (4, 4, 4, 4, 4, 4), 7)
+    p = reduction_poly(ThreePartitionInstance(2, 12, (4, 4, 4, 4, 4, 4), 7))
     assert p.coeff(7 * 12 + 1 + 7 * 4) == 6
 
 
@@ -686,7 +666,10 @@ def instances_with_a_partition(draw):
 def test_extract_inverts_build_on_generated_instances(case):
     # each tree has at most 3 * (10 * 40 + 1) + 1 = 1204 vertices
     inst, p = case
-    groups = extract_partition(build_reduction_tree(inst, p), inst)
+    tree = build_reduction_tree(inst, p)
+    # the oracle's labels of the built tree count the terms of the formula
+    assert label_counts(tree.encode()) == dict(reduction_poly(inst).terms())
+    groups = extract_partition(tree, inst)
     assert sorted(i for g in groups for i in g) == list(range(1, 3 * inst.n + 1))
     for g in groups:
         assert len(g) == 3 and g == sorted(g)
@@ -730,12 +713,7 @@ def test_extract_reads_subtree_sizes_without_copying_the_tree():
     inst = ThreePartitionInstance(n=1, C=400000, a=(100001, 133333, 166666), lam=4)
     tree = build_reduction_tree(inst, [[1, 2, 3]])
     assert tree.size == 1_600_002
-    tracemalloc.start()
-    try:
-        groups = extract_partition(tree, inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    groups, peak = peak_bytes(lambda: extract_partition(tree, inst))
     assert groups == [[1, 2, 3]]
     assert peak < 10 * 2**20
 
@@ -792,9 +770,9 @@ def test_general_search_solves_reduction_instance():
 
 
 def test_general_search_rejects_unsatisfiable_instance():
-    # values violate sum(a) = n*C, so no triple split of equal sum C exists;
-    # the polynomial is assembled without instance validation
-    p = scaled_reduction_poly(2, 12, (4, 4, 4, 5, 5, 5), 7)
+    # the smallest valid instance with no 3-partition: triples of 4s and a 6
+    # sum to 12 or 14, never to C = 13
+    p = reduction_poly(ThreePartitionInstance(2, 13, (4, 4, 4, 4, 4, 6)))
     r = solve_general(p)
     assert r.status == "no_tree"
 

@@ -1,7 +1,6 @@
 """Plane trees: encoding, labeling, avalanche polynomials, enumeration."""
 
 import inspect
-import tracemalloc
 from collections import Counter
 from itertools import repeat
 
@@ -16,6 +15,7 @@ from avpoly.tree import (
     enumerate_trees,
     parse_tree,
 )
+from memory import peak_bytes
 from oracles import dyck_words, preorder_labels
 
 FIG1 = "((((()))())((())(())(())())((())()()()))"
@@ -108,12 +108,7 @@ def test_encode_reads_a_run_in_place():
     # a star of 10^6 copies of one leaf: the encoding and its one repeated
     # piece take about 2 MB each; a copy of the root's children would add 8 MB
     star = PlaneTree(repeat(PlaneTree(), 10**6))
-    tracemalloc.start()
-    try:
-        text = star.encode()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = peak_bytes(star.encode)
     assert text == "(" + "()" * 10**6 + ")"
     assert peak < 6 * 10**6
 
@@ -123,12 +118,7 @@ def test_parse_shares_one_leaf():
     # its children's tuple and the list it is built from, about 8 MB each;
     # a new leaf per "()" took the peak to 64 MB
     text = "(" + "()" * 10**6 + ")"
-    tracemalloc.start()
-    try:
-        star = parse_tree(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    star, peak = peak_bytes(lambda: parse_tree(text))
     assert star.size == 10**6 + 1
     assert star.children[0] is star.children[-1]
     assert peak < 20 * 10**6
